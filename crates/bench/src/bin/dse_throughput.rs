@@ -1,22 +1,24 @@
-//! DSE throughput benchmark: bytecode VM vs compiled [`SweepPlan`] vs
-//! per-point incremental analysis vs full re-simulation, in points/sec.
+//! DSE throughput benchmark: bytecode VM vs per-point incremental analysis
+//! vs full re-simulation, in points/sec.
 //!
 //! Two grids over `fig4_ex5`, both in nested-loop order (last axis
-//! fastest) so the delta-evaluating paths see realistic single-axis steps:
+//! fastest) so the delta-evaluating VM sees realistic single-axis steps:
 //!
 //! * a **small grid** (40 x 25 = 1000 points) anchors the historical legs —
-//!   compiled plan vs per-point `IncrementalState::try_with_depths` vs a
+//!   serial VM vs per-point `IncrementalState::try_with_depths` vs a
 //!   sampled-and-extrapolated full re-simulation;
 //! * a **large grid** (960 x 25 = 24000 points, N = 1024) owns the
-//!   headline numbers — interpreter serial/parallel and bytecode VM
-//!   serial/parallel — where per-leg times are long enough to measure and
-//!   the parallel paths are past their work cutoffs.
+//!   headline numbers — VM serial and parallel — where per-leg times are
+//!   long enough to measure (the grid sits below the VM's parallel work
+//!   cutoff, so `parallel = true` must resolve to the serial loop).
 //!
 //! Every throughput leg reports its best of several repetitions: the
 //! numbers feed ratio asserts, and single-shot wall times are far too
-//! noisy to gate on. Three ratios are enforced: compiled >= 10x
-//! incremental, bytecode >= 10x compiled, and parallel compiled >= serial
-//! compiled (the batch path must never be slower than the loop it wraps).
+//! noisy to gate on. Two ratios are enforced: the serial VM >= 100x
+//! per-point incremental on the small grid, and the parallel VM >= 0.95x
+//! the serial VM on the large grid (the batch path must never be slower
+//! than the loop it wraps). The latter compares two millisecond legs, so
+//! it is the median ratio over interleaved rounds (see [`paired`]).
 //!
 //! Results are printed as a table and written to `BENCH_dse.json` so the
 //! perf trajectory of the compiled engine is recorded over time. Pass
@@ -40,6 +42,44 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
         out = Some(value);
     }
     (best, out.expect("reps >= 1"))
+}
+
+/// Two legs timed in `rounds` interleaved rounds, the order alternating
+/// per round so warm-up and host drift hit both alike. Returns each leg's
+/// best time with its last value, and the median over rounds of
+/// `time(a) / time(b)` — leg b's throughput relative to leg a's. That
+/// median is what gets gated: on a shared host the speed can jump by a
+/// third from one millisecond to the next, so the ratio of two best-ofs
+/// measures which leg caught the luckiest window, not the legs.
+fn paired<T>(
+    rounds: usize,
+    mut a: impl FnMut() -> T,
+    mut b: impl FnMut() -> T,
+) -> ((Duration, T), (Duration, T), f64) {
+    let timed = |f: &mut dyn FnMut() -> T| {
+        let start = Instant::now();
+        let value = f();
+        (start.elapsed(), value)
+    };
+    let (mut best_a, mut best_b) = (Duration::MAX, Duration::MAX);
+    let mut last = None;
+    let mut ratios = Vec::with_capacity(rounds);
+    for round in 0..rounds {
+        let ((time_a, value_a), (time_b, value_b)) = if round % 2 == 0 {
+            let first = timed(&mut a);
+            (first, timed(&mut b))
+        } else {
+            let first = timed(&mut b);
+            (timed(&mut a), first)
+        };
+        best_a = best_a.min(time_a);
+        best_b = best_b.min(time_b);
+        ratios.push(time_a.as_secs_f64() / time_b.as_secs_f64().max(1e-12));
+        last = Some((value_a, value_b));
+    }
+    ratios.sort_by(f64::total_cmp);
+    let (value_a, value_b) = last.expect("rounds >= 1");
+    ((best_a, value_a), (best_b, value_b), ratios[rounds / 2])
 }
 
 fn pps(points: usize, time: Duration) -> f64 {
@@ -71,6 +111,7 @@ fn main() {
     let start = Instant::now();
     let plan = SweepPlan::compile(&baseline.incremental).expect("plan compiles");
     let compile_time = start.elapsed();
+    let small_program = plan.compile_bytecode();
     println!(
         "baseline run {} + plan compile {} ({} nodes, {} edges, {} constraints)",
         secs(baseline_time),
@@ -80,27 +121,30 @@ fn main() {
         plan.constraint_count()
     );
 
-    // 1. Compiled plan on the small grid (one evaluator, delta evaluation).
-    let (small_compiled_time, small_compiled) =
-        best_of(reps, || plan.evaluate_batch(&points, false).expect("batch"));
-    let small_compiled_pps = pps(points.len(), small_compiled_time);
+    // 1. Serial VM on the small grid (one warm VM, delta evaluation).
+    let (small_bytecode_time, small_bytecode) = best_of(reps, || {
+        small_program
+            .evaluate_batch_workers(&points, 1)
+            .expect("batch")
+    });
+    let small_bytecode_pps = pps(points.len(), small_bytecode_time);
 
     // 2. Uncompiled incremental path, one cold pass per point.
     let start = Instant::now();
     let mut agreement = 0usize;
-    for (point, compiled_outcome) in points.iter().zip(&small_compiled) {
+    for (point, vm_outcome) in points.iter().zip(&small_bytecode) {
         let outcome = baseline
             .incremental
             .try_with_depths(point)
             .expect("incremental pass succeeds");
-        agreement += usize::from(&outcome == compiled_outcome);
+        agreement += usize::from(&outcome == vm_outcome);
     }
     let incremental_time = start.elapsed();
     let incremental_pps = pps(points.len(), incremental_time);
     assert_eq!(
         agreement,
         points.len(),
-        "compiled and incremental answers must be identical"
+        "VM and incremental answers must be identical"
     );
 
     // 3. Full re-simulation, sampled and extrapolated.
@@ -114,19 +158,18 @@ fn main() {
     let resim_time = start.elapsed();
     let resim_pps = pps(sample.len(), resim_time);
 
-    let valid = small_compiled
+    let valid = small_bytecode
         .iter()
         .filter(|o| matches!(o, IncrementalOutcome::Valid { .. }))
         .count();
     println!(
-        "{valid}/{} small-grid points certified by the plan; {} would fall back to re-simulation",
+        "{valid}/{} small-grid points certified by the VM; {} would fall back to re-simulation",
         points.len(),
         points.len() - valid
     );
 
-    // 4. The large grid: 960 x 25 = 24000 points at N = 1024, where the
-    // parallel paths are past their work cutoffs and per-leg times are
-    // long enough to time reliably. Owns the headline interpreter-vs-VM
+    // 4. The large grid: 960 x 25 = 24000 points at N = 1024, where
+    // per-leg times are long enough to time reliably. Owns the headline VM
     // numbers.
     let big_points: Vec<Vec<usize>> = (1..=960usize)
         .flat_map(|d1| (1..=25usize).map(move |d2| vec![d1, d2]))
@@ -151,40 +194,25 @@ fn main() {
         program.op_count()
     );
 
-    let (compiled_time, compiled) = best_of(reps, || {
-        big_plan
-            .evaluate_batch(&big_points, false)
-            .expect("compiled batch succeeds")
-    });
-    let compiled_pps = pps(big_points.len(), compiled_time);
-
-    let (compiled_par_time, compiled_par) = best_of(reps, || {
-        big_plan
-            .evaluate_batch(&big_points, true)
-            .expect("compiled parallel batch succeeds")
-    });
-    let compiled_par_pps = pps(big_points.len(), compiled_par_time);
-    assert_eq!(compiled, compiled_par, "parallel chunking changes nothing");
-
-    let (bytecode_time, bytecode) = best_of(reps, || {
-        program
-            .evaluate_batch_workers(&big_points, 1)
-            .expect("bytecode batch succeeds")
-    });
-    let bytecode_pps = pps(big_points.len(), bytecode_time);
-    assert_eq!(
-        compiled, bytecode,
-        "bytecode VM must answer bit-identically"
+    // One batch takes about a millisecond, so the pair gets many more
+    // rounds than the slow legs above.
+    let ((bytecode_time, bytecode), (bytecode_par_time, bytecode_par), parallel_ratio) = paired(
+        reps * 8,
+        || {
+            program
+                .evaluate_batch_workers(&big_points, 1)
+                .expect("bytecode batch succeeds")
+        },
+        || {
+            program
+                .evaluate_batch(&big_points, true)
+                .expect("bytecode parallel batch succeeds")
+        },
     );
-
-    let (bytecode_par_time, bytecode_par) = best_of(reps, || {
-        program
-            .evaluate_batch(&big_points, true)
-            .expect("bytecode parallel batch succeeds")
-    });
+    let bytecode_pps = pps(big_points.len(), bytecode_time);
     let bytecode_par_pps = pps(big_points.len(), bytecode_par_time);
     assert_eq!(
-        compiled, bytecode_par,
+        bytecode, bytecode_par,
         "parallel VM chunking changes nothing"
     );
 
@@ -197,8 +225,11 @@ fn main() {
             bytecode_par_time,
             bytecode_par_pps,
         ),
-        ("compiled (sequential)", compiled_time, compiled_pps),
-        ("compiled (parallel)", compiled_par_time, compiled_par_pps),
+        (
+            "bytecode VM (serial)*",
+            small_bytecode_time,
+            small_bytecode_pps,
+        ),
         ("incremental per-point*", incremental_time, incremental_pps),
         ("full re-sim (sampled)*", resim_time, resim_pps),
     ];
@@ -207,12 +238,11 @@ fn main() {
     }
     omnisim_bench::rule(56);
     println!("(*) small 1000-point grid; other legs on the 24000-point grid");
-    let speedup_incremental = small_compiled_pps / incremental_pps.max(1e-9);
-    let speedup_resim = small_compiled_pps / resim_pps.max(1e-9);
-    let speedup_bytecode = bytecode_pps / compiled_pps.max(1e-9);
+    let speedup_incremental = small_bytecode_pps / incremental_pps.max(1e-9);
+    let speedup_resim = small_bytecode_pps / resim_pps.max(1e-9);
     println!(
-        "compiled vs incremental: {speedup_incremental:.1}x    compiled vs full re-sim: \
-         {speedup_resim:.0}x    bytecode vs compiled: {speedup_bytecode:.1}x"
+        "VM vs incremental: {speedup_incremental:.1}x    VM vs full re-sim: \
+         {speedup_resim:.0}x    parallel vs serial VM: {parallel_ratio:.2}x"
     );
 
     let json = format!(
@@ -220,13 +250,12 @@ fn main() {
          \"points\": {},\n  \"big_points\": {},\n  \"smoke\": {smoke},\n  \"plan_nodes\": {},\n  \
          \"plan_edges\": {},\n  \"plan_compile_secs\": {:.6},\n  \
          \"bytecode_lower_secs\": {:.6},\n  \"bytecode_pps\": {bytecode_pps:.1},\n  \
-         \"bytecode_parallel_pps\": {bytecode_par_pps:.1},\n  \"compiled_pps\": {compiled_pps:.1},\n  \
-         \"compiled_parallel_pps\": {compiled_par_pps:.1},\n  \
-         \"small_compiled_pps\": {small_compiled_pps:.1},\n  \
+         \"bytecode_parallel_pps\": {bytecode_par_pps:.1},\n  \
+         \"small_bytecode_pps\": {small_bytecode_pps:.1},\n  \
          \"incremental_pps\": {incremental_pps:.1},\n  \"full_resim_pps\": {resim_pps:.3},\n  \
-         \"speedup_compiled_vs_incremental\": {speedup_incremental:.2},\n  \
-         \"speedup_compiled_vs_full_resim\": {speedup_resim:.1},\n  \
-         \"speedup_bytecode_vs_compiled\": {speedup_bytecode:.2}\n}}\n",
+         \"speedup_bytecode_vs_incremental\": {speedup_incremental:.2},\n  \
+         \"speedup_bytecode_vs_full_resim\": {speedup_resim:.1},\n  \
+         \"bytecode_parallel_vs_serial\": {parallel_ratio:.3}\n}}\n",
         points.len(),
         big_points.len(),
         plan.node_count(),
@@ -238,22 +267,17 @@ fn main() {
     println!("\nwrote BENCH_dse.json");
 
     assert!(
-        speedup_incremental >= 10.0,
-        "the compiled plan must be >= 10x faster than per-point incremental analysis \
-         (got {speedup_incremental:.1}x)"
+        speedup_incremental >= 100.0,
+        "the serial bytecode VM must be >= 100x faster than per-point incremental \
+         analysis (got {speedup_incremental:.1}x)"
     );
     // The work cutoff must keep `parallel = true` from ever regressing the
-    // serial loop it wraps (pre-cutoff it measured 0.83x on paper-sized
-    // batches). On low-core machines both legs resolve to the same serial
-    // path, so allow a small measurement-noise tolerance on the ratio.
+    // serial loop it wraps. Below the cutoff both legs run the same serial
+    // VM, so allow a small measurement-noise tolerance on the ratio.
     assert!(
-        compiled_par_pps >= 0.95 * compiled_pps,
-        "the parallel batch path must not be slower than the serial loop it wraps \
-         (parallel {compiled_par_pps:.0} pps vs serial {compiled_pps:.0} pps)"
-    );
-    assert!(
-        speedup_bytecode >= 10.0,
-        "the bytecode VM must be >= 10x faster than the interpreted plan \
-         (got {speedup_bytecode:.1}x)"
+        parallel_ratio >= 0.95,
+        "the parallel VM batch path must not be slower than the serial loop it wraps \
+         (median paired ratio {parallel_ratio:.3}; best-of parallel {bytecode_par_pps:.0} pps \
+         vs serial {bytecode_pps:.0} pps)"
     );
 }

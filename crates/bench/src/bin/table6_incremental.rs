@@ -116,22 +116,24 @@ fn main() {
     );
 
     // The same two queries against the *compiled* plan: the session
-    // artifact's frozen incremental state compiles into a CSR sweep plan
-    // whose per-point evaluation allocates nothing.
+    // artifact's frozen incremental state compiles into a CSR sweep plan,
+    // lowered to a bytecode program whose per-point evaluation allocates
+    // nothing.
     let start = Instant::now();
     let plan = SweepPlan::from_compiled(session.as_ref())
         .expect("the omnisim artifact compiles into a plan")
         .expect("plan compiles");
+    let program = plan.compile_bytecode();
     let compile_time = start.elapsed();
     let start = Instant::now();
-    let mut evaluator = plan.evaluator();
-    let compiled_a = evaluator.evaluate(&[2, 100]).expect("plan evaluates");
-    let compiled_b = evaluator.evaluate(&[100, 2]).expect("plan evaluates");
+    let mut vm = program.vm();
+    let compiled_a = vm.evaluate(&[2, 100]).expect("VM evaluates");
+    let compiled_b = vm.evaluate(&[100, 2]).expect("VM evaluates");
     let eval_time = start.elapsed();
     assert_eq!(compiled_a, incremental.try_with_depths(&[2, 100]).unwrap());
     assert_eq!(compiled_b, incremental.try_with_depths(&[100, 2]).unwrap());
     println!(
-        "\ncompiled plan: {} nodes compiled in {}, both queries re-answered in {:.1?} \
+        "\ncompiled plan: {} nodes compiled and lowered in {}, both queries re-answered in {:.1?} \
          (identical verdicts)",
         plan.node_count(),
         secs(compile_time),

@@ -1,12 +1,11 @@
-//! The bytecode backend of the compiled DSE engine: a [`SweepPlan`]
-//! lowered into a register-allocated linear program executed by a tight
+//! The evaluator of the compiled DSE engine: a [`SweepPlan`] lowered into
+//! a register-allocated linear program executed by a tight
 //! zero-dependency VM loop.
 //!
-//! The [`PlanEvaluator`](crate::PlanEvaluator) interprets the frozen CSR
-//! graph: every point walks edge lists through two levels of indirection,
-//! resolves each FIFO's depth-parameterized WAR edge by scanning *all* of
-//! its writes, and re-derives worklist order from a binary heap.
-//! [`SweepPlan::compile_bytecode`] removes all of that ahead of time:
+//! [`SweepPlan::compile_bytecode`] resolves the frozen CSR graph's
+//! indirections ahead of time, so a point never walks edge lists, scans a
+//! FIFO's writes for its depth-parameterized WAR edge, or orders a
+//! worklist by heap:
 //!
 //! * **Register allocation** — nodes are renumbered by topological rank,
 //!   so register `r`'s value depends only on registers `< r` and the whole
@@ -25,25 +24,28 @@
 //!   worklist in register order, stopping wherever a recomputed register
 //!   is unchanged.
 //!
-//! Outcomes are **bit-identical** to the interpreter and to
-//! [`IncrementalState::try_with_depths`]: infeasible depths are rejected
-//! in the same order ([`IncrementalOutcome::DepthInfeasible`]), points
-//! below the cached order's supported bound take the same allocating Kahn
-//! slow path (reporting [`IncrementalOutcome::DepthCyclic`] when no order
-//! exists), constraints are re-checked in recording order, and the latency
-//! formula is unchanged. The differential fuzz oracle pins this three ways
-//! (`VM == PlanEvaluator == try_with_depths`) across every generator
-//! preset.
+//! Outcomes are **bit-identical** to
+//! [`IncrementalState::try_with_depths`](omnisim::IncrementalState::try_with_depths):
+//! infeasible depths are rejected in the same order
+//! ([`IncrementalOutcome::DepthInfeasible`]), points below the cached
+//! order's supported bound take an allocating Kahn slow path (reporting
+//! [`IncrementalOutcome::DepthCyclic`] when no order exists), constraints
+//! are re-checked in recording order, and the latency formula is
+//! unchanged. The differential fuzz oracle pins `VM == try_with_depths`
+//! across every generator preset.
 //!
 //! Programs serialize through `omnisim-codec` ([`CompiledPlan::encode`] /
 //! [`CompiledPlan::decode`], magic `OSBC`), so a serving tier can persist
 //! them in its `ArtifactStore` next to the session artifacts they were
 //! lowered from and warm-start the DSE fast path across process restarts.
 
-use crate::plan::{PlanError, SweepPlan, NONE};
+use crate::plan::{PlanError, SweepPlan};
 use omnisim::IncrementalOutcome;
 use omnisim_codec::{frame, unframe, ByteReader, ByteWriter, CodecError};
 use omnisim_graph::NodeId;
+
+/// Sentinel for "this register is not a FIFO access" in the lookup tables.
+const NONE: u32 = u32::MAX;
 
 /// Magic bytes of the encoded bytecode program ("OmniSim Bytecode").
 pub const BYTECODE_MAGIC: [u8; 4] = *b"OSBC";
@@ -70,8 +72,8 @@ struct Op {
     b: i64,
 }
 
-/// Per-FIFO access lane in register space (same shape as the plan's node
-/// -space lane, so feasibility and constraint checks replicate verbatim).
+/// Per-FIFO access lane in register space (the plan's node-space lane,
+/// renumbered).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct VmLane {
     /// Register of each committed write, in commit order.
@@ -188,7 +190,7 @@ pub struct CompiledPlan {
     /// FIFO depths of the baseline run.
     original_depths: Vec<usize>,
     /// Per-FIFO minimum depth the register order supports; probes below it
-    /// take the allocating slow path, exactly as in the interpreter.
+    /// take the allocating slow path.
     supported_min_depth: Vec<usize>,
 }
 
@@ -406,8 +408,8 @@ impl CompiledPlan {
         }
     }
 
-    /// Validates one depth vector against the program (same rules as the
-    /// interpreter: arity must match, depths must be ≥ 1).
+    /// Validates one depth vector against the program: arity must match,
+    /// depths must be ≥ 1.
     fn validate(&self, depths: &[usize]) -> Result<(), PlanError> {
         if depths.len() != self.lanes.len() {
             return Err(PlanError::DepthMismatch {
@@ -433,12 +435,11 @@ impl CompiledPlan {
     }
 
     /// Estimated-work cutoff (points × registers) below which
-    /// [`CompiledPlan::evaluate_batch`]`(…, parallel = true)` stays serial.
-    /// The VM's per-point cost is an order of magnitude below the
-    /// interpreter's, so the fixed parallel costs (thread spawn/join, one
-    /// cold full program run per chunk, chunks losing the warm VM's memo
-    /// locality) amortize nearly two orders of magnitude later than
-    /// [`SweepPlan::PARALLEL_WORK_CUTOFF`].
+    /// [`CompiledPlan::evaluate_batch`]`(…, parallel = true)` stays serial:
+    /// a warm VM answers most points in nanoseconds, so the fixed parallel
+    /// costs (thread spawn/join, one cold full program run per chunk,
+    /// chunks losing the warm VM's memo locality) amortize only on large
+    /// batches.
     pub(crate) const PARALLEL_WORK_CUTOFF: usize = 128_000_000;
 
     fn auto_workers(&self, points: usize) -> usize {
@@ -615,9 +616,19 @@ impl CompiledPlan {
                     && in_regs(&lane.writes)
                     && in_regs(&lane.reads)
             })
-            && constraints
-                .iter()
-                .all(|c| (c.reg as usize) < n && (c.fifo as usize) < lanes.len())
+            && constraints.iter().all(|c| {
+                // The engine numbers each query's access as the committed
+                // count + 1, so an ordinal past that is corrupt — and would
+                // size the VM's verdict memo from untrusted input.
+                lanes.get(c.fifo as usize).is_some_and(|lane| {
+                    let accesses = if c.write_side {
+                        lane.writes.len()
+                    } else {
+                        lane.reads.len()
+                    };
+                    (c.reg as usize) < n && c.ordinal as usize <= accesses + 1
+                })
+            })
             && original_depths.len() == lanes.len()
             && supported_min_depth.len() == lanes.len();
         if !structure_ok {
@@ -641,12 +652,11 @@ impl CompiledPlan {
         ))
     }
 
-    /// Replicates `IncrementalState::first_infeasible_fifo` (and the
-    /// interpreter's copy of it) so rejection order is bit-identical:
-    /// "some blocking write sits at slot ≥ depth + reads" is exactly
-    /// "the highest blocking slot does", i.e. `depth ≤ max − reads`, so
-    /// the per-point check is one precomputed threshold compare per FIFO
-    /// instead of the interpreter's bool-slice scan.
+    /// Replicates `IncrementalState::first_infeasible_fifo` so rejection
+    /// order is bit-identical: "some blocking write sits at slot ≥ depth +
+    /// reads" is exactly "the highest blocking slot does", i.e.
+    /// `depth ≤ max − reads`, so the per-point check is one precomputed
+    /// threshold compare per FIFO instead of a bool-slice scan.
     #[inline]
     fn first_infeasible_fifo(&self, depths: &[usize]) -> Option<usize> {
         depths
@@ -749,7 +759,7 @@ fn war_time(
 /// First mismatching write-side constraint of FIFO `f` under depth `d`
 /// over `tape` ([`MEMO_CLEAN`] when the whole bucket holds). Replicates
 /// `IncrementalState::evaluate_constraint`'s write side, scanning in
-/// recording order with the interpreter's early exit.
+/// recording order with an early exit.
 fn ws_first_mismatch(plan: &CompiledPlan, tape: &[u64], f: usize, d: usize) -> u32 {
     let lane = &plan.lanes[f];
     for c in &plan.ws_by_fifo[f] {
@@ -853,7 +863,7 @@ impl CompiledVm<'_> {
     }
 
     /// Evaluates one depth vector, bit-identically to
-    /// [`crate::PlanEvaluator::evaluate`].
+    /// [`IncrementalState::try_with_depths`](omnisim::IncrementalState::try_with_depths).
     ///
     /// # Errors
     ///
@@ -1085,9 +1095,8 @@ impl CompiledVm<'_> {
     /// The allocating path for depths below the register order's bound: a
     /// fresh Kahn pass over base + overlay edges (reporting
     /// [`IncrementalOutcome::DepthCyclic`] when none exists), then a
-    /// relaxation in that order — bit-identical to the interpreter's slow
-    /// path, which this mirrors in register space. The tape it leaves
-    /// behind is exact, so later fast-path points still delta-execute.
+    /// relaxation in that order. The tape it leaves behind is exact, so
+    /// later fast-path points still delta-execute.
     fn evaluate_slow(&mut self, depths: &[usize]) -> IncrementalOutcome {
         let plan = self.plan;
         let n = plan.regs as usize;
@@ -1263,12 +1272,12 @@ mod tests {
     fn vm_matches_interpreter_and_try_with_depths_on_random_walks() {
         for design in [nb_drop_counter(48, 2, 3), producer_consumer(48, 3, 2)] {
             let baseline = OmniSimulator::new(&design).run().unwrap();
-            let plan = SweepPlan::compile(&baseline.incremental).unwrap();
-            let program = plan.compile_bytecode();
-            let mut interp = plan.evaluator();
+            let program = SweepPlan::compile(&baseline.incremental)
+                .unwrap()
+                .compile_bytecode();
             let mut vm = program.vm();
             let mut rng = Rng(0xb17e_c0de_5eed_0001);
-            let mut depths = vec![1usize; plan.fifo_count()];
+            let mut depths = vec![1usize; program.fifo_count()];
             for step in 0..120 {
                 // Mostly single-axis deltas (the delta path), occasionally
                 // a jump (bigger dirty sets), rarely a repeat (no-op path).
@@ -1281,10 +1290,8 @@ mod tests {
                     };
                 }
                 let expected = baseline.incremental.try_with_depths(&depths).unwrap();
-                let from_interp = interp.evaluate(&depths).unwrap();
                 let from_vm = vm.evaluate(&depths).unwrap();
                 assert_eq!(from_vm, expected, "step {step} depths {depths:?}");
-                assert_eq!(from_vm, from_interp, "step {step} depths {depths:?}");
             }
         }
     }
@@ -1312,15 +1319,19 @@ mod tests {
     fn batch_serial_parallel_and_pinned_workers_agree() {
         let design = nb_drop_counter(32, 1, 4);
         let baseline = OmniSimulator::new(&design).run().unwrap();
-        let plan = SweepPlan::compile(&baseline.incremental).unwrap();
-        let program = plan.compile_bytecode();
+        let program = SweepPlan::compile(&baseline.incremental)
+            .unwrap()
+            .compile_bytecode();
         let points: Vec<Vec<usize>> = (1..=96).map(|d| vec![d]).collect();
         let serial = program.evaluate_batch(&points, false).unwrap();
         let auto = program.evaluate_batch(&points, true).unwrap();
         let pinned = program.evaluate_batch_workers(&points, 3).unwrap();
         assert_eq!(serial, auto);
         assert_eq!(serial, pinned);
-        assert_eq!(serial, plan.evaluate_batch(&points, false).unwrap());
+        for (point, outcome) in points.iter().zip(&serial) {
+            let expected = baseline.incremental.try_with_depths(point).unwrap();
+            assert_eq!(*outcome, expected, "depths {point:?}");
+        }
     }
 
     #[test]
@@ -1346,6 +1357,18 @@ mod tests {
                 .evaluate_batch(&[vec![1], vec![0]], true)
                 .unwrap_err(),
             PlanError::ZeroDepth { fifo: 0 }
+        );
+        let omni: omnisim::OmniError = PlanError::DepthMismatch {
+            expected: 1,
+            got: 2,
+        }
+        .into();
+        assert_eq!(
+            omni,
+            omnisim::OmniError::DepthMismatch {
+                expected: 1,
+                got: 2
+            }
         );
     }
 
@@ -1390,5 +1413,30 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x55;
         assert!(CompiledPlan::decode(&flipped).is_err());
+
+        // A correctly checksummed program whose constraint ordinal lies
+        // past its FIFO's committed accesses: rejected, not summed into an
+        // overflowing (debug) or gigabyte-sized (release) verdict memo.
+        let lane = &program.lanes[0];
+        for (write_side, accesses) in [(true, lane.writes.len()), (false, lane.reads.len())] {
+            let with_ordinal = |ordinal: u32| {
+                let mut crafted = program.clone();
+                crafted.constraints = vec![VmConstraint {
+                    write_side,
+                    fifo: 0,
+                    ordinal,
+                    reg: 0,
+                    outcome: true,
+                }];
+                CompiledPlan::decode(&crafted.encode())
+            };
+            assert!(with_ordinal(accesses as u32 + 1).is_ok());
+            for ordinal in [accesses as u32 + 2, 1 << 28, u32::MAX] {
+                assert!(
+                    matches!(with_ordinal(ordinal), Err(CodecError::Invalid(_))),
+                    "write side {write_side}, ordinal {ordinal}"
+                );
+            }
+        }
     }
 }

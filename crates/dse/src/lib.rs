@@ -11,32 +11,30 @@
 //! per-query analysis into microseconds, this crate freezes a baseline run
 //! **once** and then answers points from the frozen form:
 //!
-//! * [`SweepPlan`] — the baseline [`IncrementalState`](omnisim::IncrementalState)
-//!   compiled into a CSR graph + transpose, depth-parameterized WAR edges
-//!   partitioned per FIFO, one cached topological order valid for every
-//!   depth vector ≥ 1, and a flat constraint table;
-//! * [`PlanEvaluator`] — reusable time buffers evaluating points by
-//!   in-place levelized relaxation, with **delta evaluation** between
-//!   consecutive points (only nodes downstream of FIFOs whose depth
-//!   changed are recomputed);
-//! * [`SweepPlan::evaluate_batch`] — chunked multi-threaded batch solving
-//!   over scoped threads;
-//! * [`CompiledPlan`] — the plan lowered further into register-allocated
-//!   bytecode ([`SweepPlan::compile_bytecode`]): a linear program over a
-//!   flat `u64` time tape executed by a tight VM loop ([`CompiledVm`]),
-//!   roughly an order of magnitude faster per point than the interpreter
-//!   and serializable via `omnisim-codec` for artifact-store persistence;
+//! * [`SweepPlan`] — the lowering IR: the baseline
+//!   [`IncrementalState`](omnisim::IncrementalState) frozen into a CSR
+//!   graph + transpose, per-FIFO access lanes, one cached topological order
+//!   valid for every depth vector ≥ 1, and a flat constraint table;
+//! * [`CompiledPlan`] — the evaluator: the plan lowered into
+//!   register-allocated bytecode ([`SweepPlan::compile_bytecode`]), a
+//!   linear program over a flat `u64` time tape executed by a tight VM
+//!   loop ([`CompiledVm`]) with **delta evaluation** between consecutive
+//!   points, serial or chunked multi-threaded batches
+//!   ([`CompiledPlan::evaluate_batch`]), and serialization via
+//!   `omnisim-codec` for artifact-store persistence;
 //! * [`SweepPlan::min_depths`] — the inverse query: per-FIFO binary search
-//!   for the smallest depths whose certified latency meets a target;
+//!   for the smallest depths whose certified latency meets a target,
+//!   probed on one warm VM;
 //! * [`Sweep`] — the batch DSE driver (moved here from the engine crate),
-//!   now using the plan as its fast path and parallel full re-simulation
-//!   as its fallback for constraint-violating points.
+//!   using the VM as its fast path and parallel full re-simulation as its
+//!   fallback for constraint-violating points.
 //!
 //! Answers are bit-identical to
-//! [`IncrementalState::try_with_depths`](omnisim::IncrementalState::try_with_depths)
-//! and to full re-simulation wherever the recorded constraints hold; the
-//! differential suite in `tests/compiled_dse.rs` (workspace root) pins all
-//! three against each other on randomized grids.
+//! [`IncrementalState::try_with_depths`](omnisim::IncrementalState::try_with_depths),
+//! the engine's independent uncompiled oracle, and to full re-simulation
+//! wherever the recorded constraints hold; the differential suite in
+//! `tests/compiled_dse.rs` (workspace root) pins the VM against both on
+//! randomized grids.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,5 +49,5 @@ pub mod sweep;
 pub use bytecode::{CompiledPlan, CompiledVm};
 pub use min_depths::MinDepthsReport;
 pub use omnisim::IncrementalOutcome;
-pub use plan::{PlanError, PlanEvaluator, SweepPlan};
+pub use plan::{PlanError, SweepPlan};
 pub use sweep::{Sweep, SweepMethod, SweepPoint, SweepReport};

@@ -11,8 +11,9 @@
 //! plan was compiled from — and each FIFO is binary-searched between 1 and
 //! its nearest known-good depth (the baseline anchor, or the search bound
 //! when that certifies too) while every other FIFO is held at its anchor.
-//! The whole search costs ≈ `fifos · log2(max_depth)` compiled evaluations
-//! instead of a full grid.
+//! The plan is lowered once per search and every probe runs on one warm
+//! bytecode VM, so the whole search costs one lowering plus
+//! ≈ `fifos · log2(max_depth)` VM probes instead of a full grid.
 //!
 //! Probes whose recorded constraints no longer hold are conservatively
 //! treated as *not meeting the target*: the plan cannot certify their
@@ -43,7 +44,7 @@ pub struct MinDepthsReport {
     /// are individually certified, but their combination can stall more
     /// than any single probe did, so it is re-checked once.
     pub combined: IncrementalOutcome,
-    /// Number of compiled point evaluations the search spent.
+    /// Number of VM probes the search spent.
     pub probes: usize,
 }
 
@@ -80,12 +81,13 @@ impl SweepPlan {
             .iter()
             .map(|&d| d.clamp(1, max_depth))
             .collect();
-        let mut eval = self.evaluator();
+        let program = self.compile_bytecode();
+        let mut vm = program.vm();
         let mut probes = 0usize;
         let mut meets = |depths: &[usize]| -> Result<bool, PlanError> {
             probes += 1;
             Ok(matches!(
-                eval.evaluate(depths)?,
+                vm.evaluate(depths)?,
                 IncrementalOutcome::Valid { total_cycles } if total_cycles <= target_latency
             ))
         };
@@ -133,7 +135,7 @@ impl SweepPlan {
             .zip(&anchors)
             .map(|(d, &anchor)| d.unwrap_or(anchor))
             .collect();
-        let combined = eval.evaluate(&depths)?;
+        let combined = vm.evaluate(&depths)?;
         probes += 1;
         Ok(MinDepthsReport {
             target_latency,

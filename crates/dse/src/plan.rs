@@ -1,27 +1,16 @@
-//! The compiled sweep plan: a baseline run frozen into a CSR graph that
-//! answers FIFO-depth queries with no per-point allocation.
+//! The sweep plan: a baseline run frozen into a CSR graph — the lowering
+//! IR of the compiled DSE engine.
 //!
 //! [`SweepPlan::compile`] is run **once** per baseline
 //! [`IncrementalState`]. It freezes the engine's online
-//! [`EventGraph`](omnisim_graph::EventGraph) into a
-//! [`CsrGraph`](omnisim_graph::CsrGraph) (plus its transpose for
-//! incoming-edge traversal), partitions the depth-parameterized
-//! write-after-read constraints per FIFO, caches one topological order that
-//! stays valid for *every* depth vector with depths ≥ 1, and compiles the
-//! recorded query constraints into a flat table. Each
-//! [`PlanEvaluator`] then owns a reusable time buffer and answers points by
-//!
-//! * **levelized relaxation** — one pass over the cached topological order,
-//!   relaxing CSR successors plus the WAR edge implied by the current
-//!   depths, touching no allocator, and
-//! * **delta evaluation** — between consecutive points, only nodes
-//!   downstream of FIFOs whose depth actually changed are recomputed, via a
-//!   topo-rank-ordered worklist that stops propagating wherever a node's
-//!   time is unchanged.
-//!
-//! [`SweepPlan::evaluate_batch`] splits a point list into contiguous chunks
-//! and solves them on scoped threads, one evaluator per chunk, so grid
-//! sweeps keep their delta locality while using every core.
+//! [`EventGraph`](omnisim_graph::EventGraph) into a [`CsrGraph`] (plus its
+//! transpose, whose rows become the bytecode's gather-form instruction
+//! runs), records each FIFO's commit-ordered access lanes, caches one
+//! topological order that stays valid for *every* depth vector with depths
+//! ≥ 1, and compiles the recorded query constraints into a flat table. The
+//! plan evaluates nothing itself: [`SweepPlan::compile_bytecode`] lowers
+//! it into a [`CompiledPlan`](crate::CompiledPlan), whose VM answers every
+//! point.
 //!
 //! The depth-1 lower bound exists because the cached topological order must
 //! anticipate every WAR edge any depth vector can introduce: for depth `S`,
@@ -32,17 +21,11 @@
 //! go through [`IncrementalState::try_with_depths`] instead; the `Sweep`
 //! driver does exactly that.
 
-use crate::pool;
-use omnisim::{CompiledOmni, IncrementalOutcome, IncrementalState, OmniError};
+use omnisim::{CompiledOmni, IncrementalState, OmniError};
 use omnisim_api::CompiledSim;
 use omnisim_graph::{CsrGraph, CsrGraphBuilder, CycleError, Edge, NodeId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
-
-/// Sentinel for "this node is not a FIFO access" in the lookup tables.
-pub(crate) const NONE: u32 = u32::MAX;
 
 /// Per-FIFO access lanes, frozen from the baseline run's commit order.
 #[derive(Debug, Clone)]
@@ -54,17 +37,6 @@ pub(crate) struct FifoLane {
     pub(crate) write_blocking: Vec<bool>,
     /// Node of each committed read, in commit order.
     pub(crate) reads: Vec<u32>,
-}
-
-impl FifoLane {
-    /// The WAR predecessor (a read node) of write `iw` under `depth`, if
-    /// the edge exists for that depth.
-    pub(crate) fn war_pred(&self, iw: usize, depth: usize) -> Option<u32> {
-        if !self.write_blocking[iw] || iw < depth {
-            return None;
-        }
-        self.reads.get(iw - depth).copied()
-    }
 }
 
 /// A recorded query outcome in flat form, re-checked per point.
@@ -82,7 +54,7 @@ pub(crate) struct CompiledConstraint {
     pub(crate) outcome: bool,
 }
 
-/// Errors returned when evaluating points against a [`SweepPlan`].
+/// Errors returned when evaluating points against a compiled program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanError {
     /// The depth vector's length does not match the design's FIFO count.
@@ -138,19 +110,20 @@ impl From<PlanError> for OmniError {
     }
 }
 
-/// A baseline run compiled for repeated FIFO-depth evaluation.
+/// A baseline run frozen for repeated FIFO-depth evaluation.
 ///
-/// See the [module docs](self) for the design; see
-/// [`SweepPlan::compile`] / [`SweepPlan::evaluator`] /
-/// [`SweepPlan::evaluate_batch`] for the entry points. Evaluation answers
-/// are bit-identical to [`IncrementalState::try_with_depths`] — same
+/// See the [module docs](self) for the design. Build one with
+/// [`SweepPlan::compile`] or [`SweepPlan::from_compiled`], then lower it
+/// with [`SweepPlan::compile_bytecode`]; the program's answers are
+/// bit-identical to [`IncrementalState::try_with_depths`] — same
 /// latencies, same first-violated-constraint indices — just without the
 /// per-point overlay allocation and graph rebuild.
 #[derive(Debug)]
 pub struct SweepPlan {
     /// The frozen baseline graph (bases + successor lists).
     pub(crate) fwd: CsrGraph,
-    /// Its transpose, for recomputing one node from its predecessors.
+    /// Its transpose: each node's incoming edges, lowered into its
+    /// instruction run.
     pub(crate) rev: CsrGraph,
     /// Topological order valid for the base edges plus any WAR overlay
     /// with all depths ≥ 1.
@@ -159,11 +132,6 @@ pub struct SweepPlan {
     pub(crate) topo_rank: Vec<u32>,
     /// Per-FIFO access lanes.
     pub(crate) lanes: Vec<FifoLane>,
-    /// Node → `(fifo, read index)` when the node is a committed read.
-    war_read: Vec<(u32, u32)>,
-    /// Node → `(fifo, write index)` when the node is a committed
-    /// **blocking** write.
-    pub(crate) war_write: Vec<(u32, u32)>,
     /// Flat constraint table, in the baseline's recording order.
     pub(crate) constraints: Vec<CompiledConstraint>,
     /// End node of every task that finished.
@@ -174,7 +142,7 @@ pub struct SweepPlan {
     /// single-rate pipelines this is 1 everywhere; multi-rate reconvergence
     /// can make the depth-1 overlay genuinely cyclic (the design would
     /// deadlock at depth 1), in which case the skeleton is relaxed and
-    /// points probing below this bound take the allocating slow path.
+    /// points probing below this bound take the VM's allocating slow path.
     pub(crate) supported_min_depth: Vec<usize>,
 }
 
@@ -223,7 +191,7 @@ impl SweepPlan {
         // which happens exactly when a depth-m assignment deadlocks, e.g.
         // multi-rate reconvergent pipelines at depth 1 — the anchors are
         // relaxed one depth at a time until an order exists; points below
-        // the supported bound are answered by the evaluator's slow path.
+        // the supported bound are answered by the VM's slow path.
         let build_skeleton = |bounds: &[usize]| {
             let mut skeleton: Vec<Edge> = Vec::new();
             for (f, lane) in lanes.iter().enumerate() {
@@ -285,19 +253,6 @@ impl SweepPlan {
             topo_rank[node as usize] = rank as u32;
         }
 
-        let mut war_read = vec![(NONE, NONE); n];
-        let mut war_write = vec![(NONE, NONE); n];
-        for (f, lane) in lanes.iter().enumerate() {
-            for (j, &read) in lane.reads.iter().enumerate() {
-                war_read[read as usize] = (f as u32, j as u32);
-            }
-            for (iw, &write) in lane.writes.iter().enumerate() {
-                if lane.write_blocking[iw] {
-                    war_write[write as usize] = (f as u32, iw as u32);
-                }
-            }
-        }
-
         let constraints = state
             .constraints
             .iter()
@@ -316,8 +271,6 @@ impl SweepPlan {
             topo,
             topo_rank,
             lanes,
-            war_read,
-            war_write,
             constraints,
             end_nodes: state.end_nodes.iter().flatten().map(|n| n.0).collect(),
             original_depths: state.original_depths.clone(),
@@ -341,8 +294,8 @@ impl SweepPlan {
     /// Lowers the frozen plan into a register-allocated bytecode program —
     /// see [`crate::bytecode::CompiledPlan`]. The lowering is total: every
     /// compiled plan has a bytecode form, and the program answers every
-    /// depth vector bit-identically to [`SweepPlan::evaluator`], an order
-    /// of magnitude faster.
+    /// depth vector bit-identically to
+    /// [`IncrementalState::try_with_depths`].
     pub fn compile_bytecode(&self) -> crate::bytecode::CompiledPlan {
         crate::bytecode::CompiledPlan::lower(self)
     }
@@ -371,430 +324,6 @@ impl SweepPlan {
     pub fn original_depths(&self) -> &[usize] {
         &self.original_depths
     }
-
-    /// Creates a fresh evaluator with its own reusable scratch buffers.
-    pub fn evaluator(&self) -> PlanEvaluator<'_> {
-        PlanEvaluator {
-            plan: self,
-            time: Vec::with_capacity(self.fwd.len()),
-            depths: Vec::new(),
-            heap: BinaryHeap::new(),
-            queued: vec![false; self.fwd.len()],
-        }
-    }
-
-    /// The first FIFO whose depth is infeasible for the baseline's access
-    /// counts — replicates `IncrementalState::first_infeasible_fifo` so the
-    /// compiled path returns bit-identical outcomes.
-    fn first_infeasible_fifo(&self, depths: &[usize]) -> Option<usize> {
-        depths.iter().enumerate().position(|(f, &depth)| {
-            let lane = &self.lanes[f];
-            let (writes, reads) = (lane.writes.len(), lane.reads.len());
-            writes > depth + reads
-                && lane.write_blocking[depth + reads..writes]
-                    .iter()
-                    .any(|&blocking| blocking)
-        })
-    }
-
-    /// Validates one depth vector against the plan.
-    fn validate(&self, depths: &[usize]) -> Result<(), PlanError> {
-        if depths.len() != self.lanes.len() {
-            return Err(PlanError::DepthMismatch {
-                expected: self.lanes.len(),
-                got: depths.len(),
-            });
-        }
-        if let Some(fifo) = depths.iter().position(|&d| d == 0) {
-            return Err(PlanError::ZeroDepth { fifo });
-        }
-        Ok(())
-    }
-
-    /// Estimated-work cutoff (points × plan nodes) below which
-    /// [`SweepPlan::evaluate_batch`]`(…, parallel = true)` solves the batch
-    /// serially anyway. Parallel chunking has two fixed costs — scoped
-    /// thread spawn/join, and one cold full relaxation per chunk before its
-    /// delta evaluations — that exceed the whole serial solve on
-    /// paper-sized batches (`BENCH_dse.json` measured 4.5M parallel vs
-    /// 5.4M serial points/sec on a 1000-point grid before this cutoff
-    /// existed). Break-even on a ~620-node plan sits near 2k points, i.e.
-    /// ~1.2M node-points; the cutoff leaves margin above it.
-    pub(crate) const PARALLEL_WORK_CUTOFF: usize = 2_000_000;
-
-    /// Worker count for an auto-parallel batch: serial below the
-    /// estimated-work cutoff, one worker per core above it.
-    fn auto_workers(&self, points: usize) -> usize {
-        if points.saturating_mul(self.node_count()) < Self::PARALLEL_WORK_CUTOFF {
-            1
-        } else {
-            pool::default_workers()
-        }
-    }
-
-    /// Evaluates every point, in order, chunking the list across scoped
-    /// worker threads when `parallel` is set (chunks stay contiguous so
-    /// delta evaluation keeps its locality within each chunk). Points may
-    /// be owned vectors or borrowed slices — nothing is copied.
-    ///
-    /// `parallel` uses one worker per core, except that batches whose
-    /// estimated work (points × plan nodes) falls below
-    /// [`SweepPlan::PARALLEL_WORK_CUTOFF`] stay serial — spawning threads
-    /// and paying one cold full relaxation per chunk is slower than just
-    /// solving a small batch on the calling thread. Use
-    /// [`SweepPlan::evaluate_batch_workers`] to pin an explicit count
-    /// (explicit counts are honored unconditionally).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] if any point has the wrong arity or contains a
-    /// zero depth; no evaluation happens in that case.
-    pub fn evaluate_batch<P>(
-        &self,
-        points: &[P],
-        parallel: bool,
-    ) -> Result<Vec<IncrementalOutcome>, PlanError>
-    where
-        P: AsRef<[usize]> + Sync,
-    {
-        let workers = if parallel {
-            self.auto_workers(points.len())
-        } else {
-            1
-        };
-        self.evaluate_batch_workers(points, workers)
-    }
-
-    /// [`SweepPlan::evaluate_batch`] with an explicit worker count (clamped
-    /// to at least one; one worker solves the batch on the calling thread).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] if any point has the wrong arity or contains a
-    /// zero depth; no evaluation happens in that case.
-    pub fn evaluate_batch_workers<P>(
-        &self,
-        points: &[P],
-        workers: usize,
-    ) -> Result<Vec<IncrementalOutcome>, PlanError>
-    where
-        P: AsRef<[usize]> + Sync,
-    {
-        for point in points {
-            self.validate(point.as_ref())?;
-        }
-        if points.is_empty() {
-            return Ok(Vec::new());
-        }
-        let workers = workers.max(1).min(points.len());
-        let chunk_size = points.len().div_ceil(workers);
-        let chunks: Vec<&[P]> = points.chunks(chunk_size).collect();
-        let per_chunk = pool::parallel_map(&chunks, workers, |chunk| {
-            let mut eval = self.evaluator();
-            chunk
-                .iter()
-                .map(|p| eval.evaluate_validated(p.as_ref()))
-                .collect::<Vec<IncrementalOutcome>>()
-        });
-        Ok(per_chunk.into_iter().flatten().collect())
-    }
-}
-
-/// Reusable per-thread evaluation state for one [`SweepPlan`].
-///
-/// The first [`PlanEvaluator::evaluate`] call runs a full levelized
-/// relaxation; subsequent calls recompute only nodes downstream of FIFOs
-/// whose depth changed since the previous point.
-#[derive(Debug)]
-pub struct PlanEvaluator<'p> {
-    plan: &'p SweepPlan,
-    /// Longest-path time of every node under `depths` (valid once
-    /// `depths` is non-empty).
-    time: Vec<u64>,
-    /// Depth vector `time` currently reflects; empty before the first
-    /// evaluation.
-    depths: Vec<usize>,
-    /// Worklist for delta evaluation, ordered by topological rank.
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
-    /// Deduplication flags for `heap`.
-    queued: Vec<bool>,
-}
-
-impl PlanEvaluator<'_> {
-    /// The plan this evaluator runs against.
-    pub fn plan(&self) -> &SweepPlan {
-        self.plan
-    }
-
-    /// Evaluates one depth vector: recomputes node times (fully on first
-    /// use, incrementally afterwards), re-checks every recorded constraint
-    /// and reports the latency, exactly as
-    /// [`IncrementalState::try_with_depths`] would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] for wrong-arity or zero-depth vectors.
-    pub fn evaluate(&mut self, depths: &[usize]) -> Result<IncrementalOutcome, PlanError> {
-        self.plan.validate(depths)?;
-        Ok(self.evaluate_validated(depths))
-    }
-
-    /// Evaluation core; `depths` must already be validated.
-    fn evaluate_validated(&mut self, depths: &[usize]) -> IncrementalOutcome {
-        // Infeasible depths (a committed blocking write with no freeing
-        // read) are rejected before touching the time buffer, exactly as
-        // `try_with_depths` rejects them before re-finalizing; the buffer
-        // keeps reflecting `self.depths` for the next delta evaluation.
-        if let Some(fifo) = self.plan.first_infeasible_fifo(depths) {
-            return IncrementalOutcome::DepthInfeasible { fifo };
-        }
-        // Points below the cached order's supported bound may introduce WAR
-        // edges that go backwards in that order (they may even be cyclic,
-        // i.e. deadlock); they take the allocating slow path, which derives
-        // its own order per point.
-        if depths
-            .iter()
-            .zip(&self.plan.supported_min_depth)
-            .any(|(&d, &m)| d < m)
-        {
-            return self.evaluate_slow(depths);
-        }
-        if self.depths.is_empty() {
-            self.full_relaxation(depths);
-        } else if self.depths != depths {
-            self.delta_update(depths);
-        }
-        self.depths.clear();
-        self.depths.extend_from_slice(depths);
-        self.verdict()
-    }
-
-    /// Constraint re-check plus latency over the current time buffer.
-    fn verdict(&self) -> IncrementalOutcome {
-        for (index, c) in self.plan.constraints.iter().enumerate() {
-            if self.check_constraint(c) != c.outcome {
-                return IncrementalOutcome::ConstraintViolated { constraint: index };
-            }
-        }
-        IncrementalOutcome::Valid {
-            total_cycles: self.latency(),
-        }
-    }
-
-    /// The allocating per-point path for depths below the cached order's
-    /// bound: a fresh Kahn pass over base + overlay edges (reporting
-    /// [`IncrementalOutcome::DepthCyclic`] when none exists, bit-identical
-    /// to `try_with_depths`), then a relaxation in that order. The time
-    /// buffer it leaves behind is exact, so later fast-path points can
-    /// still delta-update from it.
-    fn evaluate_slow(&mut self, depths: &[usize]) -> IncrementalOutcome {
-        let plan = self.plan;
-        let n = plan.fwd.len();
-        let mut overlay: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (f, lane) in plan.lanes.iter().enumerate() {
-            let depth = depths[f];
-            for iw in depth..lane.writes.len() {
-                if !lane.write_blocking[iw] {
-                    continue;
-                }
-                if let Some(&read) = lane.reads.get(iw - depth) {
-                    overlay[read as usize].push(lane.writes[iw]);
-                }
-            }
-        }
-        let mut indegree = vec![0u32; n];
-        for (u, targets) in overlay.iter().enumerate() {
-            for (v, _) in plan.fwd.successors(NodeId(u as u32)) {
-                indegree[v.index()] += 1;
-            }
-            for &v in targets {
-                indegree[v as usize] += 1;
-            }
-        }
-        let mut ready: Vec<u32> = (0..n as u32)
-            .filter(|&u| indegree[u as usize] == 0)
-            .collect();
-        let mut order: Vec<u32> = Vec::with_capacity(n);
-        while let Some(u) = ready.pop() {
-            order.push(u);
-            for (v, _) in plan.fwd.successors(NodeId(u)) {
-                indegree[v.index()] -= 1;
-                if indegree[v.index()] == 0 {
-                    ready.push(v.0);
-                }
-            }
-            for &v in &overlay[u as usize] {
-                indegree[v as usize] -= 1;
-                if indegree[v as usize] == 0 {
-                    ready.push(v);
-                }
-            }
-        }
-        if order.len() != n {
-            return IncrementalOutcome::DepthCyclic;
-        }
-        self.time.clear();
-        self.time.extend_from_slice(plan.fwd.base_times());
-        for &u in &order {
-            let tu = self.time[u as usize];
-            for (v, w) in plan.fwd.successors(NodeId(u)) {
-                let cand = tu.saturating_add_signed(w);
-                if cand > self.time[v.index()] {
-                    self.time[v.index()] = cand;
-                }
-            }
-            for &v in &overlay[u as usize] {
-                let cand = tu.saturating_add(1);
-                if cand > self.time[v as usize] {
-                    self.time[v as usize] = cand;
-                }
-            }
-        }
-        self.depths.clear();
-        self.depths.extend_from_slice(depths);
-        self.verdict()
-    }
-
-    /// One full pass over the cached topological order, relaxing CSR
-    /// successors plus the WAR edge each read implies under `depths`.
-    fn full_relaxation(&mut self, depths: &[usize]) {
-        let plan = self.plan;
-        self.time.clear();
-        self.time.extend_from_slice(plan.fwd.base_times());
-        for &u in &plan.topo {
-            let tu = self.time[u as usize];
-            for (v, w) in plan.fwd.successors(NodeId(u)) {
-                let cand = tu.saturating_add_signed(w);
-                if cand > self.time[v.index()] {
-                    self.time[v.index()] = cand;
-                }
-            }
-            if let Some(target) = war_successor(plan, depths, u) {
-                let cand = tu.saturating_add(1);
-                if cand > self.time[target as usize] {
-                    self.time[target as usize] = cand;
-                }
-            }
-        }
-    }
-
-    /// Recomputes only nodes downstream of FIFOs whose depth changed,
-    /// using a topo-rank-ordered worklist. Propagation stops at any node
-    /// whose recomputed time is unchanged.
-    fn delta_update(&mut self, depths: &[usize]) {
-        let plan = self.plan;
-        // Seed with every blocking write whose WAR predecessor differs
-        // between the old and new depth of a changed FIFO. Removed edges
-        // can *lower* times, so seeds are recomputed from scratch off the
-        // transpose rather than merely relaxed.
-        for (f, lane) in plan.lanes.iter().enumerate() {
-            let (old, new) = (self.depths[f], depths[f]);
-            if old == new {
-                continue;
-            }
-            for iw in old.min(new)..lane.writes.len() {
-                if lane.war_pred(iw, old) != lane.war_pred(iw, new) {
-                    let node = lane.writes[iw];
-                    if !self.queued[node as usize] {
-                        self.queued[node as usize] = true;
-                        self.heap
-                            .push(Reverse((plan.topo_rank[node as usize], node)));
-                    }
-                }
-            }
-        }
-
-        while let Some(Reverse((_, u))) = self.heap.pop() {
-            self.queued[u as usize] = false;
-            let mut t = plan.rev.base(NodeId(u));
-            for (p, w) in plan.rev.successors(NodeId(u)) {
-                let cand = self.time[p.index()].saturating_add_signed(w);
-                if cand > t {
-                    t = cand;
-                }
-            }
-            let (f, iw) = plan.war_write[u as usize];
-            if f != NONE {
-                if let Some(read) = plan.lanes[f as usize].war_pred(iw as usize, depths[f as usize])
-                {
-                    let cand = self.time[read as usize].saturating_add(1);
-                    if cand > t {
-                        t = cand;
-                    }
-                }
-            }
-            if t == self.time[u as usize] {
-                continue;
-            }
-            self.time[u as usize] = t;
-            for (v, _) in plan.fwd.successors(NodeId(u)) {
-                if !self.queued[v.index()] {
-                    self.queued[v.index()] = true;
-                    self.heap.push(Reverse((plan.topo_rank[v.index()], v.0)));
-                }
-            }
-            if let Some(target) = war_successor(plan, depths, u) {
-                if !self.queued[target as usize] {
-                    self.queued[target as usize] = true;
-                    self.heap
-                        .push(Reverse((plan.topo_rank[target as usize], target)));
-                }
-            }
-        }
-    }
-
-    /// Replicates `IncrementalState::evaluate_constraint` against the
-    /// plan's time buffer.
-    fn check_constraint(&self, c: &CompiledConstraint) -> bool {
-        let lane = &self.plan.lanes[c.fifo as usize];
-        let query_time = self.time[c.node as usize];
-        let ordinal = c.ordinal as usize;
-        if c.write_side {
-            let depth = self.depths[c.fifo as usize];
-            if ordinal <= depth {
-                return true;
-            }
-            match lane.reads.get(ordinal - depth - 1) {
-                Some(&read) => self.time[read as usize] < query_time,
-                None => false,
-            }
-        } else {
-            match lane.writes.get(ordinal - 1) {
-                Some(&write) => self.time[write as usize] < query_time,
-                None => false,
-            }
-        }
-    }
-
-    /// Replicates `IncrementalState::latency_from_times`.
-    fn latency(&self) -> u64 {
-        let end = self
-            .plan
-            .end_nodes
-            .iter()
-            .map(|&n| self.time[n as usize])
-            .max();
-        match end {
-            Some(t) => t + 1,
-            None => self.time.iter().copied().max().unwrap_or(0),
-        }
-    }
-}
-
-/// The node the WAR edge from node `u` targets under `depths`, if `u` is a
-/// committed read whose paired blocking write exists.
-fn war_successor(plan: &SweepPlan, depths: &[usize], u: u32) -> Option<u32> {
-    let (f, j) = plan.war_read[u as usize];
-    if f == NONE {
-        return None;
-    }
-    let lane = &plan.lanes[f as usize];
-    let iw = (j as usize).checked_add(depths[f as usize])?;
-    if iw < lane.writes.len() && lane.write_blocking[iw] {
-        Some(lane.writes[iw])
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]
@@ -803,113 +332,6 @@ mod tests {
     use omnisim::test_fixtures::{nb_drop_counter, producer_consumer};
     use omnisim::{OmniBackend, OmniSimulator};
     use omnisim_api::{SimReport, Simulator};
-
-    /// Deterministic xorshift64* so the randomized grids are reproducible.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.0 = x;
-            x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        }
-
-        fn depth(&mut self, max: usize) -> usize {
-            1 + (self.next() as usize) % max
-        }
-    }
-
-    #[test]
-    fn plan_matches_try_with_depths_on_randomized_points() {
-        for design in [nb_drop_counter(48, 2, 3), producer_consumer(48, 3, 2)] {
-            let baseline = OmniSimulator::new(&design).run().unwrap();
-            let plan = SweepPlan::compile(&baseline.incremental).unwrap();
-            let mut eval = plan.evaluator();
-            let mut rng = Rng(0x5eed_cafe_f00d_0001);
-            for _ in 0..60 {
-                let depths: Vec<usize> = (0..plan.fifo_count()).map(|_| rng.depth(130)).collect();
-                let expected = baseline.incremental.try_with_depths(&depths).unwrap();
-                let got = eval.evaluate(&depths).unwrap();
-                assert_eq!(got, expected, "depths {depths:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn delta_evaluation_matches_a_fresh_full_relaxation() {
-        // Walk one evaluator through a depth sequence with small deltas and
-        // check every answer against a brand-new evaluator (which must do a
-        // full relaxation) — this isolates the incremental update path.
-        let design = nb_drop_counter(40, 2, 3);
-        let baseline = OmniSimulator::new(&design).run().unwrap();
-        let plan = SweepPlan::compile(&baseline.incremental).unwrap();
-        let mut warm = plan.evaluator();
-        let mut rng = Rng(0xdead_beef_0000_0002);
-        let mut depths = vec![2usize];
-        for step in 0..50 {
-            // Mostly small moves, occasionally a jump.
-            depths[0] = if step % 7 == 0 {
-                rng.depth(128)
-            } else {
-                (depths[0] + rng.depth(3)).saturating_sub(1).max(1)
-            };
-            let warm_answer = warm.evaluate(&depths).unwrap();
-            let cold_answer = plan.evaluator().evaluate(&depths).unwrap();
-            assert_eq!(warm_answer, cold_answer, "step {step} depths {depths:?}");
-        }
-    }
-
-    #[test]
-    fn batch_parallel_sequential_and_manual_agree() {
-        let design = nb_drop_counter(32, 1, 4);
-        let baseline = OmniSimulator::new(&design).run().unwrap();
-        let plan = SweepPlan::compile(&baseline.incremental).unwrap();
-        let points: Vec<Vec<usize>> = (1..=64).map(|d| vec![d]).collect();
-        let sequential = plan.evaluate_batch(&points, false).unwrap();
-        let parallel = plan.evaluate_batch(&points, true).unwrap();
-        assert_eq!(sequential, parallel);
-        for (point, outcome) in points.iter().zip(&sequential) {
-            let manual = baseline.incremental.try_with_depths(point).unwrap();
-            assert_eq!(*outcome, manual, "depths {point:?}");
-        }
-    }
-
-    #[test]
-    fn validation_errors_are_reported_before_any_work() {
-        let design = producer_consumer(8, 2, 1);
-        let baseline = OmniSimulator::new(&design).run().unwrap();
-        let plan = SweepPlan::compile(&baseline.incremental).unwrap();
-        assert_eq!(
-            plan.evaluator().evaluate(&[1, 2]).unwrap_err(),
-            PlanError::DepthMismatch {
-                expected: 1,
-                got: 2
-            }
-        );
-        assert_eq!(
-            plan.evaluator().evaluate(&[0]).unwrap_err(),
-            PlanError::ZeroDepth { fifo: 0 }
-        );
-        assert_eq!(
-            plan.evaluate_batch(&[vec![1], vec![0]], true).unwrap_err(),
-            PlanError::ZeroDepth { fifo: 0 }
-        );
-        let omni: OmniError = PlanError::DepthMismatch {
-            expected: 1,
-            got: 2,
-        }
-        .into();
-        assert_eq!(
-            omni,
-            OmniError::DepthMismatch {
-                expected: 1,
-                got: 2
-            }
-        );
-    }
 
     #[test]
     fn plan_compiles_from_a_session_artifact() {
@@ -980,11 +402,10 @@ mod tests {
             via_session.constraint_count()
         );
         assert_eq!(via_report.original_depths(), via_session.original_depths());
-        // …and they answer every probe bit-identically.
-        let points: Vec<Vec<usize>> = (1..=32).map(|d| vec![d]).collect();
+        // …and they lower to the identical program.
         assert_eq!(
-            via_report.evaluate_batch(&points, false).unwrap(),
-            via_session.evaluate_batch(&points, false).unwrap()
+            via_report.compile_bytecode(),
+            via_session.compile_bytecode()
         );
     }
 }

@@ -1,6 +1,6 @@
 //! Shared scoped-thread worker pool for the batch solvers.
 //!
-//! Both batch paths — plan evaluation chunks and full-re-simulation
+//! Both batch paths — VM batch chunks and full-re-simulation
 //! fallbacks — need the same shape of parallelism: a fixed item list, a
 //! `Sync` closure, results in item order. The facade's `SimService` uses
 //! the same pool for its batched run requests. The container build has no

@@ -2,11 +2,11 @@
 //! first-class API, now backed by the compiled [`SweepPlan`].
 //!
 //! [`Sweep`] runs the design once, compiles the baseline into a
-//! [`SweepPlan`], and answers every candidate depth vector from the frozen
-//! plan (delta evaluation, no per-point allocation) whenever the recorded
-//! constraints still hold (§7.2), transparently falling back to a full
-//! re-simulation of the resized design when they do not. Plan evaluation
-//! and fallback runs are independent, so by default both execute in
+//! [`SweepPlan`], lowers it to bytecode, and answers every candidate depth
+//! vector on the VM (delta evaluation, no per-point allocation) whenever
+//! the recorded constraints still hold (§7.2), transparently falling back
+//! to a full re-simulation of the resized design when they do not. VM
+//! evaluation and fallback runs are independent, so by default both execute in
 //! parallel on scoped threads (the container build has no access to
 //! external crates, otherwise this would be a `rayon` parallel iterator);
 //! [`Sweep::sequential`] disables that for deterministic profiling.
@@ -98,7 +98,7 @@ pub struct SweepReport {
     /// One answer per requested point, in request order.
     pub points: Vec<SweepPoint>,
     /// The compiled plan the points were answered from, reusable for
-    /// follow-up queries ([`SweepPlan::min_depths`], more batches). `None`
+    /// follow-up queries ([`SweepPlan::min_depths`]). `None`
     /// only when plan compilation failed and the sweep fell back to the
     /// uncompiled incremental path throughout.
     pub plan: Option<SweepPlan>,
@@ -564,7 +564,11 @@ mod tests {
         let sweep = Sweep::new(&design).grid(&[&[1, 2, 8]]).run().unwrap();
         let plan = sweep.plan.as_ref().expect("plan compiles for this design");
         assert_eq!(plan.fifo_count(), 1);
-        let outcome = plan.evaluator().evaluate(&[8]).unwrap();
+        // The lowered program rides on the report too, identical to a
+        // fresh lowering of the retained plan.
+        let program = sweep.bytecode.as_ref().expect("bytecode rides on plan");
+        assert_eq!(*program, plan.compile_bytecode());
+        let outcome = program.vm().evaluate(&[8]).unwrap();
         let expected = sweep
             .points
             .iter()
@@ -577,9 +581,5 @@ mod tests {
             }
             other => panic!("expected valid, got {other:?}"),
         }
-        // The lowered program rides on the report too, and answers the
-        // same query identically.
-        let program = sweep.bytecode.as_ref().expect("bytecode rides on plan");
-        assert_eq!(program.evaluate(&[8]).unwrap(), outcome);
     }
 }

@@ -14,11 +14,10 @@
 //! * **csim diverges exactly where the paper says it does** — correct on
 //!   Type A, wrong or crashing on most Type B/C designs; the oracle records
 //!   the expected-divergence bookkeeping instead of asserting equality.
-//! * **the DSE tower is self-consistent** — bytecode-VM answers ==
-//!   compiled `SweepPlan` answers == uncompiled `try_with_depths` answers
-//!   on random depth vectors (the VM running a codec-roundtripped
-//!   program), and certified answers == a full re-simulation of the
-//!   resized design.
+//! * **compiled DSE is exact** — bytecode-VM answers == uncompiled
+//!   `try_with_depths` answers on random depth vectors (the VM running a
+//!   codec-roundtripped program), and certified answers == a full
+//!   re-simulation of the resized design.
 //!
 //! [`differential_check`] returns a [`DiffReport`]; an empty
 //! [`DiffReport::failures`] means every claim held.
@@ -28,7 +27,7 @@ use omnisim::{CompiledOmni, IncrementalOutcome, OmniSimulator, SimConfig};
 use omnisim_analyze::DeadlockVerdict;
 use omnisim_api::{RunConfig, Simulator};
 use omnisim_csim::CsimBackend;
-use omnisim_dse::{MinDepthsReport, PlanEvaluator, SweepPlan};
+use omnisim_dse::{CompiledPlan, CompiledVm, MinDepthsReport, SweepPlan};
 use omnisim_ir::taxonomy::classify;
 use omnisim_ir::{Design, DesignClass};
 use omnisim_lightning::{LightningError, LightningSimulator};
@@ -58,12 +57,6 @@ pub struct DiffConfig {
     /// off by default and enabled by the dedicated tightness suite and the
     /// fuzz CLI's `--min-depths`.
     pub min_depths_resim: bool,
-    /// Lower the plan to register-allocated bytecode and pin the VM's
-    /// answer against the interpreted plan on every DSE depth vector
-    /// (including one codec roundtrip of the program per design). On by
-    /// default — the VM is the serving tier's fast path, so it fuzzes
-    /// wherever the plan does; the fuzz CLI's `--no-bytecode` disables it.
-    pub bytecode: bool,
     /// Run the static analyzer on every design and check its certificates
     /// against the reference outcome: a `CertifiedFree` design must
     /// complete, a `CertifiedDeadlock` design must not, and the static
@@ -90,7 +83,6 @@ impl Default for DiffConfig {
             min_depths: true,
             min_depths_bound: 12,
             min_depths_resim: false,
-            bytecode: true,
             analyze: true,
             rtl_max_cycles: 500_000,
             omni_fuel: 10_000_000,
@@ -373,37 +365,35 @@ pub fn differential_check(design: &Design, cfg: &DiffConfig, rng: &mut Rng) -> D
         ));
     }
 
-    // --- compiled DSE == incremental == full re-simulation ---------------
+    // --- bytecode VM == incremental == full re-simulation ----------------
     let mut dse_points_checked = 0;
     let mut session_runs_checked = 0;
     let mut min_depths_probes = 0;
     if !design.fifos.is_empty() && (cfg.dse_points > 0 || cfg.min_depths) {
         match SweepPlan::compile(&omni.incremental) {
             Ok(plan) => {
-                let mut evaluator = plan.evaluator();
-                // The bytecode leg reuses one warm VM across the design's
-                // depth vectors, so the delta/worklist paths fuzz too —
-                // and the program it runs has been through one codec
-                // roundtrip, pinning the persisted form as well.
-                let program = (cfg.bytecode && cfg.dse_points > 0).then(|| {
-                    let lowered = plan.compile_bytecode();
-                    match omnisim_dse::CompiledPlan::decode(&lowered.encode()) {
-                        Ok(decoded) => decoded,
-                        Err(e) => {
-                            failures.push(format!("bytecode program failed to roundtrip: {e}"));
-                            lowered
-                        }
+                // One warm VM across the design's depth vectors, so the
+                // delta/worklist paths fuzz too — and the program it runs
+                // has been through one codec roundtrip, pinning the
+                // persisted form as well.
+                let lowered = plan.compile_bytecode();
+                let program = match CompiledPlan::decode(&lowered.encode()) {
+                    Ok(decoded) => decoded,
+                    Err(e) => {
+                        failures.push(format!("bytecode program failed to roundtrip: {e}"));
+                        lowered
                     }
-                });
-                let mut vm = program.as_ref().map(|p| p.vm());
+                };
+                let mut vm = program.vm();
                 for _ in 0..cfg.dse_points {
                     let depths: Vec<usize> = (0..design.fifos.len())
                         .map(|_| rng.depth(cfg.dse_max_depth))
                         .collect();
-                    let compiled = match evaluator.evaluate(&depths) {
+                    let compiled = match vm.evaluate(&depths) {
                         Ok(o) => o,
                         Err(e) => {
-                            failures.push(format!("plan evaluation failed at {depths:?}: {e}"));
+                            failures
+                                .push(format!("bytecode VM evaluation failed at {depths:?}: {e}"));
                             continue;
                         }
                     };
@@ -417,24 +407,10 @@ pub fn differential_check(design: &Design, cfg: &DiffConfig, rng: &mut Rng) -> D
                     dse_points_checked += 1;
                     if compiled != incremental {
                         failures.push(format!(
-                            "compiled DSE disagrees with try_with_depths at {depths:?}: \
+                            "bytecode VM disagrees with try_with_depths at {depths:?}: \
                              {compiled:?} vs {incremental:?}"
                         ));
                         continue;
-                    }
-                    if let Some(vm) = vm.as_mut() {
-                        match vm.evaluate(&depths) {
-                            Ok(outcome) => {
-                                if outcome != compiled {
-                                    failures.push(format!(
-                                        "bytecode VM disagrees with the interpreted plan at \
-                                         {depths:?}: {outcome:?} vs {compiled:?}"
-                                    ));
-                                }
-                            }
-                            Err(e) => failures
-                                .push(format!("bytecode VM evaluation failed at {depths:?}: {e}")),
-                        }
                     }
                     // Session leg: a compile-once `run()` with these depth
                     // overrides must report the certified latency through
@@ -547,7 +523,7 @@ pub fn differential_check(design: &Design, cfg: &DiffConfig, rng: &mut Rng) -> D
                                     &plan,
                                     cfg.min_depths_bound,
                                     &md,
-                                    &mut evaluator,
+                                    &mut vm,
                                     &mut failures,
                                 );
                             }
@@ -583,7 +559,7 @@ pub fn differential_check(design: &Design, cfg: &DiffConfig, rng: &mut Rng) -> D
 /// The tightness oracle behind [`DiffConfig::min_depths_resim`]: every
 /// certified per-FIFO minimum must actually simulate within the target
 /// (holding the other FIFOs at their anchors), and one depth shallower must
-/// certifiably fail — either the plan certifies a latency above the target
+/// certifiably fail — either the VM certifies a latency above the target
 /// (which full re-simulation must reproduce exactly), or the depth is
 /// infeasible (which full re-simulation must confirm as a non-completion).
 /// A constraint flip one depth shallower proves nothing either way (validity
@@ -596,7 +572,7 @@ fn check_min_depths_tightness(
     plan: &SweepPlan,
     bound: usize,
     md: &MinDepthsReport,
-    evaluator: &mut PlanEvaluator<'_>,
+    vm: &mut CompiledVm<'_>,
     failures: &mut Vec<String>,
 ) {
     let anchors: Vec<usize> = plan
@@ -625,11 +601,11 @@ fn check_min_depths_tightness(
             continue;
         }
         probe[f] = min - 1;
-        match evaluator.evaluate(&probe) {
+        match vm.evaluate(&probe) {
             Ok(IncrementalOutcome::Valid { total_cycles }) => {
                 if total_cycles <= target {
                     failures.push(format!(
-                        "min_depths reported {min} for fifo {f}, but the plan certifies \
+                        "min_depths reported {min} for fifo {f}, but the VM certifies \
                          {total_cycles} <= {target} one depth shallower"
                     ));
                 } else {
@@ -653,13 +629,13 @@ fn check_min_depths_tightness(
                 match resim(&probe) {
                     Ok(full) if !full.outcome.is_completed() => {}
                     Ok(_) => failures.push(format!(
-                        "plan calls {probe:?} infeasible, but the resized design completes"
+                        "the VM calls {probe:?} infeasible, but the resized design completes"
                     )),
                     Err(e) => failures.push(format!("full re-simulation failed at {probe:?}: {e}")),
                 }
             }
             Ok(IncrementalOutcome::ConstraintViolated { .. }) => {}
-            Err(e) => failures.push(format!("plan evaluation failed at {probe:?}: {e}")),
+            Err(e) => failures.push(format!("bytecode VM evaluation failed at {probe:?}: {e}")),
         }
     }
 }

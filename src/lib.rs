@@ -81,8 +81,8 @@
 //! * [`csim`] — naive sequential C simulation,
 //! * [`lightning`] — the decoupled two-phase LightningSim baseline,
 //! * [`omnisim`] — the OmniSim engine itself,
-//! * [`dse`] — the compiled DSE engine ([`SweepPlan`], its bytecode
-//!   lowering [`CompiledPlan`], [`Sweep`], min-depth search),
+//! * [`dse`] — the compiled DSE engine ([`SweepPlan`] lowered to the
+//!   bytecode program [`CompiledPlan`], [`Sweep`], min-depth search),
 //! * [`gen`] — the seeded random design generator, test-case shrinker and
 //!   cross-backend differential fuzzing oracle,
 //! * [`codec`] — the zero-dependency binary codec under every persisted
@@ -123,8 +123,8 @@ pub use omnisim_api::{
     Simulator,
 };
 pub use omnisim_dse::{
-    CompiledPlan, CompiledVm, MinDepthsReport, PlanError, PlanEvaluator, Sweep, SweepMethod,
-    SweepPlan, SweepPoint, SweepReport,
+    CompiledPlan, CompiledVm, MinDepthsReport, PlanError, Sweep, SweepMethod, SweepPlan,
+    SweepPoint, SweepReport,
 };
 pub use service::{ArtifactStore, DesignKey, ServiceStats, SimService, StoreStats};
 

@@ -1,6 +1,6 @@
 //! Differential suite for the compiled DSE engine: on every Type A/B/C
-//! fixture design, the compiled `SweepPlan` must agree **exactly** with
-//! the uncompiled `IncrementalState::try_with_depths` path (same verdicts,
+//! fixture design, the bytecode VM must agree **exactly** with the
+//! uncompiled `IncrementalState::try_with_depths` path (same verdicts,
 //! same latencies, same first-violated-constraint indices) across
 //! randomized depth grids, and both must agree with a full re-simulation
 //! of the resized design wherever an answer is certified.
@@ -64,13 +64,14 @@ fn compiled_plan_matches_incremental_and_full_resimulation_on_random_grids() {
         let plan = SweepPlan::compile(&baseline.incremental)
             .unwrap_or_else(|e| panic!("{name}: plan must compile: {e}"));
         assert_eq!(plan.fifo_count(), design.fifos.len(), "{name}");
-        let mut evaluator = plan.evaluator();
+        let program = plan.compile_bytecode();
+        let mut vm = program.vm();
 
         for round in 0..12 {
             let depths: Vec<usize> = (0..plan.fifo_count()).map(|_| rng.depth(100)).collect();
-            let compiled = evaluator
+            let compiled = vm
                 .evaluate(&depths)
-                .unwrap_or_else(|e| panic!("{name}: plan evaluation failed: {e}"));
+                .unwrap_or_else(|e| panic!("{name}: VM evaluation failed: {e}"));
             let incremental = baseline
                 .incremental
                 .try_with_depths(&depths)
@@ -87,7 +88,7 @@ fn compiled_plan_matches_incremental_and_full_resimulation_on_random_grids() {
             // the incremental path — compiled or not — reports the stall
             // horizon of the *original* deadlock, which need not equal the
             // resized run's (a pre-existing property of `try_with_depths`,
-            // faithfully reproduced by the plan and pinned above).
+            // faithfully reproduced by the VM and pinned above).
             if round % 2 == 0 && baseline.outcome.is_completed() {
                 let resized = design.with_fifo_depths(&depths);
                 let full = OmniSimulator::new(&resized)
@@ -105,10 +106,10 @@ fn compiled_plan_matches_incremental_and_full_resimulation_on_random_grids() {
     }
 }
 
-/// The bytecode VM is the third leg of the differential: on every fixture
-/// it must answer bit-identically to the interpreted plan and to the
-/// uncompiled incremental path — warm (delta) and cold, through the codec
-/// roundtrip, and through every batch entry point.
+/// The bytecode VM must answer bit-identically to the uncompiled
+/// incremental relaxation (`try_with_depths`, which interprets the recorded
+/// graph directly) on every fixture — warm (delta) and cold, through the
+/// codec roundtrip, and through every batch entry point.
 #[test]
 fn bytecode_vm_matches_interpreter_and_incremental_on_every_fixture() {
     let mut rng = Rng::new(0xb17e_c0de_5eed_0003);
@@ -123,7 +124,6 @@ fn bytecode_vm_matches_interpreter_and_incremental_on_every_fixture() {
             .unwrap_or_else(|e| panic!("{name}: program must roundtrip: {e}"));
         let mut vm = program.vm();
         let mut decoded_vm = decoded.vm();
-        let mut evaluator = plan.evaluator();
         let fifos = plan.fifo_count();
 
         let mut grid: Vec<Vec<usize>> = (0..16)
@@ -134,17 +134,14 @@ fn bytecode_vm_matches_interpreter_and_incremental_on_every_fixture() {
         grid.push(vec![1; fifos]);
         grid.push(vec![2; fifos]);
 
+        let mut expected = Vec::with_capacity(grid.len());
         for depths in &grid {
-            let interpreted = evaluator
-                .evaluate(depths)
-                .unwrap_or_else(|e| panic!("{name}: plan evaluation failed: {e}"));
             let outcome = vm
                 .evaluate(depths)
                 .unwrap_or_else(|e| panic!("{name}: VM evaluation failed: {e}"));
-            assert_eq!(outcome, interpreted, "{name}: VM diverges at {depths:?}");
             assert_eq!(
                 decoded_vm.evaluate(depths).unwrap(),
-                interpreted,
+                outcome,
                 "{name}: decoded program diverges at {depths:?}"
             );
             let incremental = baseline
@@ -155,24 +152,24 @@ fn bytecode_vm_matches_interpreter_and_incremental_on_every_fixture() {
                 outcome, incremental,
                 "{name}: VM and incremental disagree at {depths:?}"
             );
+            expected.push(outcome);
         }
 
         // Every batch entry point answers like the per-point loop —
         // including an explicit worker count above the cutoff decision.
-        let interp_batch = plan.evaluate_batch(&grid, false).unwrap();
         assert_eq!(
             program.evaluate_batch(&grid, false).unwrap(),
-            interp_batch,
+            expected,
             "{name}"
         );
         assert_eq!(
             program.evaluate_batch(&grid, true).unwrap(),
-            interp_batch,
+            expected,
             "{name}"
         );
         assert_eq!(
             program.evaluate_batch_workers(&grid, 3).unwrap(),
-            interp_batch,
+            expected,
             "{name}"
         );
     }
@@ -224,7 +221,9 @@ fn delta_evaluation_is_path_independent() {
         .expect("fig4_ex5 is in the fixture inventory")
         .design;
     let baseline = OmniSimulator::new(&design).run().unwrap();
-    let plan = SweepPlan::compile(&baseline.incremental).unwrap();
+    let program = SweepPlan::compile(&baseline.incremental)
+        .unwrap()
+        .compile_bytecode();
 
     let grid: Vec<Vec<usize>> = (1..=8)
         .flat_map(|d1| (1..=8).map(move |d2| vec![d1, d2]))
@@ -232,12 +231,12 @@ fn delta_evaluation_is_path_independent() {
     let mut reversed = grid.clone();
     reversed.reverse();
 
-    let forward = plan.evaluate_batch(&grid, false).unwrap();
-    let mut backward = plan.evaluate_batch(&reversed, false).unwrap();
+    let forward = program.evaluate_batch(&grid, false).unwrap();
+    let mut backward = program.evaluate_batch(&reversed, false).unwrap();
     backward.reverse();
     assert_eq!(forward, backward, "evaluation order must not matter");
 
-    let parallel = plan.evaluate_batch(&grid, true).unwrap();
+    let parallel = program.evaluate_batch_workers(&grid, 3).unwrap();
     assert_eq!(forward, parallel, "chunked parallel solving must agree");
 }
 

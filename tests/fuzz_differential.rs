@@ -201,14 +201,13 @@ fn forced_deadlocks_are_diagnosed_identically_by_both_backends() {
 /// each checked by the oracle's analyzer leg — `CertifiedFree` designs
 /// must complete in the reference simulator, `CertifiedDeadlock` designs
 /// must not, and every static depth lower bound must stay at or below the
-/// certified `min_depths` minimum. The expensive simulation cross-checks
-/// (DSE points, bytecode VM) are off: the reference run the analyzer is
-/// judged against is the only simulation this test needs.
+/// certified `min_depths` minimum. The expensive DSE-point cross-checks
+/// are off: the reference run the analyzer is judged against is the only
+/// simulation this test needs.
 #[test]
 fn analyzer_verdicts_are_sound_across_every_preset() {
     let diff = DiffConfig {
         dse_points: 0,
-        bytecode: false,
         min_depths: true,
         analyze: true,
         ..DiffConfig::default()
@@ -346,8 +345,10 @@ fn multirate_leftover_probes_below_surplus_are_infeasible() {
     let design = fuzz_fixtures::multirate_leftover(6, 3, 2);
     let baseline = OmniSimulator::new(&design).run().unwrap();
     assert!(baseline.outcome.is_completed());
-    let plan = SweepPlan::compile(&baseline.incremental).unwrap();
-    let mut eval = plan.evaluator();
+    let program = SweepPlan::compile(&baseline.incremental)
+        .unwrap()
+        .compile_bytecode();
+    let mut vm = program.vm();
     for depth in 1..2usize {
         assert_eq!(
             baseline.incremental.try_with_depths(&[depth]).unwrap(),
@@ -355,7 +356,7 @@ fn multirate_leftover_probes_below_surplus_are_infeasible() {
             "depth {depth}"
         );
         assert_eq!(
-            eval.evaluate(&[depth]).unwrap(),
+            vm.evaluate(&[depth]).unwrap(),
             IncrementalOutcome::DepthInfeasible { fifo: 0 },
             "compiled path at depth {depth}"
         );
@@ -397,7 +398,7 @@ fn multirate_diamond_depth_one_is_cyclic_and_diagnosed_identically() {
         IncrementalOutcome::DepthCyclic
     );
     assert_eq!(
-        plan.evaluator().evaluate(&all_one).unwrap(),
+        plan.compile_bytecode().evaluate(&all_one).unwrap(),
         IncrementalOutcome::DepthCyclic
     );
     // The undersized design itself deadlocks, and both cycle-accurate

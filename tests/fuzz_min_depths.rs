@@ -54,6 +54,7 @@ fn check_tightness(preset: &GenConfig, seeds: std::ops::Range<u64>) -> Tightness
         }
         stats.designs += 1;
         let plan = SweepPlan::compile(&baseline.incremental).unwrap();
+        let program = plan.compile_bytecode();
         // The baseline latency is always reachable; every fourth design
         // also searches a slacker target to move the boundary.
         let mut targets = vec![baseline.total_cycles];
@@ -84,7 +85,7 @@ fn check_tightness(preset: &GenConfig, seeds: std::ops::Range<u64>) -> Tightness
                 .iter()
                 .map(|&d| d.clamp(1, MAX_DEPTH))
                 .collect();
-            let mut eval = plan.evaluator();
+            let mut vm = program.vm();
             for (f, min) in md.per_fifo.iter().enumerate() {
                 let Some(min) = *min else { continue };
                 stats.minima += 1;
@@ -109,7 +110,7 @@ fn check_tightness(preset: &GenConfig, seeds: std::ops::Range<u64>) -> Tightness
                 let shallower = OmniSimulator::new(&g.design.with_fifo_depths(&probe))
                     .run()
                     .unwrap();
-                match eval.evaluate(&probe).unwrap() {
+                match vm.evaluate(&probe).unwrap() {
                     IncrementalOutcome::Valid { total_cycles } => {
                         assert!(
                             total_cycles > target,
