@@ -20,13 +20,16 @@
 //! than the loop it wraps). The latter compares two millisecond legs, so
 //! it is the median ratio over interleaved rounds (see [`paired`]).
 //!
+//! Two report-only legs (no gate) time `SweepPlan::min_depths` on the
+//! small-grid `fig4_ex5` plan and on `misc::packet_router`.
+//!
 //! Results are printed as a table and written to `BENCH_dse.json` so the
 //! perf trajectory of the compiled engine is recorded over time. Pass
 //! `--smoke` for a seconds-scale run (used by CI) — same measurements and
 //! asserts, smaller small-grid design and fewer repetitions.
 
 use omnisim_bench::secs;
-use omnisim_designs::fig4;
+use omnisim_designs::{fig4, misc};
 use omnisim_suite::omnisim::{IncrementalOutcome, OmniSimulator};
 use omnisim_suite::SweepPlan;
 use std::time::{Duration, Instant};
@@ -245,6 +248,26 @@ fn main() {
          {speedup_resim:.0}x    parallel vs serial VM: {parallel_ratio:.2}x"
     );
 
+    // 5. The inverse query, report-only: one `min_depths` search per
+    // repetition, each lowering its own program and probing one warm VM.
+    let router = misc::packet_router(120, 128, 128);
+    let router_baseline = OmniSimulator::new(&router).run().expect("router baseline");
+    let router_plan = SweepPlan::compile(&router_baseline.incremental).expect("plan compiles");
+    let time_search = |name: &str, plan: &SweepPlan, target: u64, bound: usize| {
+        let (time, search) = best_of(reps, || plan.min_depths(target, bound).expect("search"));
+        println!(
+            "min_depths on {name}: {:.1} us ({} probes -> {:?})",
+            time.as_secs_f64() * 1e6,
+            search.probes,
+            search.depths
+        );
+        time.as_secs_f64()
+    };
+    let fig4_target = baseline.total_cycles + baseline.total_cycles / 100;
+    let min_depths_fig4_secs = time_search("fig4_ex5", &plan, fig4_target, 64);
+    let router_target = router_baseline.total_cycles;
+    let min_depths_router_secs = time_search("packet_router", &router_plan, router_target, 128);
+
     let json = format!(
         "{{\n  \"bench\": \"dse_throughput\",\n  \"design\": \"fig4_ex5\",\n  \"n\": {n},\n  \
          \"points\": {},\n  \"big_points\": {},\n  \"smoke\": {smoke},\n  \"plan_nodes\": {},\n  \
@@ -255,7 +278,9 @@ fn main() {
          \"incremental_pps\": {incremental_pps:.1},\n  \"full_resim_pps\": {resim_pps:.3},\n  \
          \"speedup_bytecode_vs_incremental\": {speedup_incremental:.2},\n  \
          \"speedup_bytecode_vs_full_resim\": {speedup_resim:.1},\n  \
-         \"bytecode_parallel_vs_serial\": {parallel_ratio:.3}\n}}\n",
+         \"bytecode_parallel_vs_serial\": {parallel_ratio:.3},\n  \
+         \"min_depths_secs_fig4_ex5\": {min_depths_fig4_secs:.6},\n  \
+         \"min_depths_secs_packet_router\": {min_depths_router_secs:.6}\n}}\n",
         points.len(),
         big_points.len(),
         plan.node_count(),

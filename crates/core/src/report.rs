@@ -125,6 +125,12 @@ pub enum OmniError {
         /// Zero-based index of the offending axis.
         axis: usize,
     },
+    /// A caller supplied a FIFO depth of zero, which is not a design point
+    /// (a usage error, not an engine bug).
+    ZeroDepth {
+        /// Index of the first FIFO with depth zero.
+        fifo: usize,
+    },
     /// Phase-agnostic invariant violation inside the engine.
     Internal(String),
 }
@@ -143,6 +149,9 @@ impl fmt::Display for OmniError {
                 f,
                 "sweep grid axis {axis} is empty, so the grid would produce no points"
             ),
+            OmniError::ZeroDepth { fifo } => {
+                write!(f, "fifo {fifo} has depth 0, but fifo depths start at 1")
+            }
             OmniError::Internal(msg) => write!(f, "internal engine error: {msg}"),
         }
     }

@@ -10,10 +10,25 @@ use omnisim_ir::{Design, DesignBuilder, Expr};
 /// `1..=n`) through a FIFO of the given depth; the consumer sums them at
 /// the given initiation interval and outputs `sum`.
 pub fn producer_consumer(n: i64, depth: usize, consumer_ii: u64) -> Design {
+    build_producer_consumer(n, depth, consumer_ii, false)
+}
+
+/// [`producer_consumer`] plus a second FIFO (index 1, same depth) that no
+/// task touches. With no recorded traffic on it, the recorded constraints
+/// alone would certify any depth for it — zero included — which is what
+/// pins the zero-depth rule to an up-front check.
+pub fn producer_consumer_with_idle_fifo(n: i64, depth: usize, consumer_ii: u64) -> Design {
+    build_producer_consumer(n, depth, consumer_ii, true)
+}
+
+fn build_producer_consumer(n: i64, depth: usize, consumer_ii: u64, idle_fifo: bool) -> Design {
     let mut d = DesignBuilder::new("pc");
     let data = d.array("data", (1..=n).collect::<Vec<i64>>());
     let out = d.output("sum");
     let q = d.fifo("q", depth);
+    if idle_fifo {
+        d.fifo("idle", depth);
+    }
     let p = d.function("producer", |m| {
         m.counted_loop("i", n, 1, |b| {
             let i = b.var_expr("i");

@@ -128,19 +128,7 @@ impl CompiledOmni {
     /// Propagates the baseline run's [`OmniError`].
     pub fn compile(design: &Design, config: SimConfig) -> Result<CompiledOmni, OmniError> {
         let baseline = OmniSimulator::with_config(design, config).run()?;
-        // The baseline's finalization is compile-phase work too (it is what
-        // freezes the graph), so the whole native breakdown moves under the
-        // compile timings; per-run reports start from zero.
-        let compile_timings = baseline.timings;
-        Ok(CompiledOmni {
-            design: design.clone(),
-            config,
-            baseline,
-            compile_timings,
-            replays: AtomicU64::new(0),
-            refinalizes: AtomicU64::new(0),
-            resim_fallbacks: AtomicU64::new(0),
-        })
+        Ok(CompiledOmni::from_baseline(design, config, baseline))
     }
 
     /// Adopts an already-run baseline as a session artifact, skipping the
@@ -148,6 +136,9 @@ impl CompiledOmni {
     /// `design` under `config`; the artifact answers runs from it exactly
     /// as a fresh [`CompiledOmni::compile`] would.
     pub fn from_baseline(design: &Design, config: SimConfig, baseline: OmniReport) -> CompiledOmni {
+        // The baseline's finalization is compile-phase work too (it is what
+        // freezes the graph), so the whole native breakdown moves under the
+        // compile timings; per-run reports start from zero.
         let compile_timings = baseline.timings;
         CompiledOmni {
             design: design.clone(),
@@ -200,14 +191,50 @@ impl CompiledOmni {
         report
     }
 
+    /// Checks a depth override: one entry per FIFO, none zero. Runs before
+    /// any answering path, because on a FIFO with no recorded blocking
+    /// traffic the constraint check alone would certify depth 0.
+    fn check_depths(&self, depths: &[usize]) -> Result<(), OmniError> {
+        let expected = self.baseline.incremental.original_depths.len();
+        if depths.len() != expected {
+            return Err(OmniError::DepthMismatch {
+                expected,
+                got: depths.len(),
+            });
+        }
+        match depths.iter().position(|&depth| depth == 0) {
+            Some(fifo) => Err(OmniError::ZeroDepth { fifo }),
+            None => Ok(()),
+        }
+    }
+
+    /// Fully re-simulates the design resized to `depths`: the one fallback
+    /// for depth vectors the frozen graph cannot certify, shared by
+    /// [`CompiledOmni::run_native`] and `omnisim-dse`'s `Sweep`. Runs under
+    /// the compiled configuration (`fuel` overrides its fuel) and counts
+    /// one `resim_fallbacks` event.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OmniError::DepthMismatch`] for a wrong-arity vector,
+    /// [`OmniError::ZeroDepth`] for a zero depth, and the re-simulation's
+    /// own error otherwise.
+    pub fn resimulate(&self, depths: &[usize], fuel: Option<u64>) -> Result<OmniReport, OmniError> {
+        self.check_depths(depths)?;
+        self.resim_fallbacks.fetch_add(1, Ordering::Relaxed);
+        let resized = self.design.with_fifo_depths(depths);
+        let config = fuel.map_or(self.config, |fuel| self.config.with_fuel(fuel));
+        OmniSimulator::with_config(&resized, config).run()
+    }
+
     /// Native-typed run: the unified [`CompiledSim::run`] minus the error
     /// conversion.
     ///
     /// # Errors
     ///
     /// Returns [`OmniError::DepthMismatch`] for wrong-arity depth overrides,
-    /// [`OmniError::Graph`] for any zero-depth probe (the resized design
-    /// would not even validate), and any re-simulation fallback's error.
+    /// [`OmniError::ZeroDepth`] for any zero-depth probe, and any
+    /// re-simulation fallback's error.
     pub fn run_native(&self, config: &RunConfig) -> Result<SimReport, OmniError> {
         let run_start = Instant::now();
         let original = &self.baseline.incremental.original_depths;
@@ -222,19 +249,7 @@ impl CompiledOmni {
                 return Ok(report);
             }
         };
-        if depths.len() != original.len() {
-            return Err(OmniError::DepthMismatch {
-                expected: original.len(),
-                got: depths.len(),
-            });
-        }
-        // A zero depth is not a design point at all: the resized design
-        // would not validate. Rejected up front — not just on the fallback
-        // path — because on a FIFO with no recorded blocking traffic the
-        // constraint check alone would happily certify it.
-        if depths.contains(&0) {
-            return Err(OmniError::Graph(omnisim_graph::CycleError));
-        }
+        self.check_depths(depths)?;
         match self.baseline.incremental.try_with_depths(depths)? {
             IncrementalOutcome::Valid { total_cycles } => {
                 // Every recorded constraint holds: behaviour is unchanged
@@ -251,13 +266,7 @@ impl CompiledOmni {
             | IncrementalOutcome::DepthCyclic => {
                 // The frozen graph cannot certify these depths: a full
                 // re-simulation of the resized design answers instead.
-                self.resim_fallbacks.fetch_add(1, Ordering::Relaxed);
-                let resized = self.design.with_fifo_depths(depths);
-                let run_config = config
-                    .fuel
-                    .map_or(self.config, |f| self.config.with_fuel(f));
-                let native = OmniSimulator::with_config(&resized, run_config).run()?;
-                let mut report = SimReport::from(native);
+                let mut report = SimReport::from(self.resimulate(depths, config.fuel)?);
                 report.extras.insert(RunPath("resim_fallback"));
                 Ok(report)
             }
@@ -334,9 +343,13 @@ impl From<OmniReport> for SimReport {
 impl From<OmniError> for SimFailure {
     fn from(error: OmniError) -> SimFailure {
         match &error {
-            // Task failures and wrong-arity depth vectors are the caller's
-            // design/input going wrong; everything else is an engine bug.
-            OmniError::Task { .. } | OmniError::DepthMismatch { .. } => {
+            // Task failures and malformed depth vectors or grids are the
+            // caller's design/input going wrong; everything else is an
+            // engine bug.
+            OmniError::Task { .. }
+            | OmniError::DepthMismatch { .. }
+            | OmniError::ZeroDepth { .. }
+            | OmniError::EmptyGridAxis { .. } => {
                 SimFailure::execution("omnisim", error.to_string())
             }
             _ => SimFailure::internal("omnisim", error.to_string()),
@@ -445,11 +458,11 @@ mod tests {
                 got: 2
             }
         );
-        // An uncertifiable zero depth is an error, not a resim candidate.
+        // A zero depth is a caller error, not a resim candidate.
         let err = compiled
             .run_native(&RunConfig::new().with_fifo_depths([0usize]))
             .unwrap_err();
-        assert!(matches!(err, OmniError::Graph(_)));
+        assert_eq!(err, OmniError::ZeroDepth { fifo: 0 });
     }
 
     #[test]

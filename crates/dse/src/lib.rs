@@ -25,9 +25,10 @@
 //! * [`SweepPlan::min_depths`] — the inverse query: per-FIFO binary search
 //!   for the smallest depths whose certified latency meets a target,
 //!   probed on one warm VM;
-//! * [`Sweep`] — the batch DSE driver (moved here from the engine crate),
-//!   using the VM as its fast path and parallel full re-simulation as its
-//!   fallback for constraint-violating points.
+//! * [`Sweep`] — the batch DSE driver: a thin loop over one
+//!   [`CompiledOmni`](omnisim::CompiledOmni) session, answering every point
+//!   in one VM batch and re-simulating constraint-violating points in
+//!   parallel through [`CompiledOmni::resimulate`](omnisim::CompiledOmni::resimulate).
 //!
 //! Answers are bit-identical to
 //! [`IncrementalState::try_with_depths`](omnisim::IncrementalState::try_with_depths),

@@ -17,9 +17,10 @@
 //! the *w*-th blocking write gains an edge from the *(w − S)*-th read, and
 //! all of those are covered by ordering each FIFO's reads in commit order
 //! plus one read-before-next-write skeleton edge — but only for `S ≥ 1`.
-//! Depth-0 points (which the engine itself usually rejects as cyclic) must
-//! go through [`IncrementalState::try_with_depths`] instead; the `Sweep`
-//! driver does exactly that.
+//! A depth-0 FIFO is not a design point at all (the resized design would
+//! not validate), so the VM rejects it with [`PlanError::ZeroDepth`], which
+//! maps to [`OmniError::ZeroDepth`] — the same answer every cycle-accurate
+//! entry point gives.
 
 use omnisim::{CompiledOmni, IncrementalState, OmniError};
 use omnisim_api::CompiledSim;
@@ -64,9 +65,9 @@ pub enum PlanError {
         /// Number of depths supplied.
         got: usize,
     },
-    /// A depth of zero was supplied; the plan's cached topological order
-    /// only covers depths ≥ 1 (use the uncompiled
-    /// [`IncrementalState::try_with_depths`] path for depth-0 probes).
+    /// A depth of zero was supplied. FIFO depths start at 1 (the cached
+    /// topological order covers exactly those), so this is a caller error;
+    /// it converts to [`OmniError::ZeroDepth`].
     ZeroDepth {
         /// Index of the FIFO with the zero depth.
         fifo: usize,
@@ -103,9 +104,8 @@ impl From<PlanError> for OmniError {
             PlanError::DepthMismatch { expected, got } => {
                 OmniError::DepthMismatch { expected, got }
             }
-            PlanError::ZeroDepth { .. } | PlanError::ZeroBound => {
-                OmniError::Internal(error.to_string())
-            }
+            PlanError::ZeroDepth { fifo } => OmniError::ZeroDepth { fifo },
+            PlanError::ZeroBound => OmniError::Internal(error.to_string()),
         }
     }
 }

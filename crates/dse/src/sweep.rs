@@ -1,15 +1,15 @@
 //! Batch FIFO-depth design-space exploration — the Table 6 workflow as a
 //! first-class API, now backed by the compiled [`SweepPlan`].
 //!
-//! [`Sweep`] runs the design once, compiles the baseline into a
-//! [`SweepPlan`], lowers it to bytecode, and answers every candidate depth
-//! vector on the VM (delta evaluation, no per-point allocation) whenever
-//! the recorded constraints still hold (§7.2), transparently falling back
-//! to a full re-simulation of the resized design when they do not. VM
-//! evaluation and fallback runs are independent, so by default both execute in
-//! parallel on scoped threads (the container build has no access to
-//! external crates, otherwise this would be a `rayon` parallel iterator);
-//! [`Sweep::sequential`] disables that for deterministic profiling.
+//! [`Sweep`] is a thin loop over the shared compile-once path: one
+//! [`CompiledOmni`] session (the baseline run), its [`SweepPlan`] lowered to
+//! bytecode, and one VM batch (delta evaluation, no per-point allocation)
+//! answering every depth vector whose recorded constraints still hold
+//! (§7.2). The rest go through [`CompiledOmni::resimulate`], the one full
+//! re-simulation fallback. Both phases run on scoped threads by default;
+//! [`Sweep::workers`]`(1)` serializes them for deterministic profiling. A
+//! zero depth is rejected with [`OmniError::ZeroDepth`], as on every
+//! cycle-accurate entry point.
 //!
 //! ```
 //! use omnisim_dse::Sweep;
@@ -39,29 +39,25 @@
 //! let sweep = Sweep::new(&design).grid(&[&[1, 2, 4, 8]]).run().unwrap();
 //! assert_eq!(sweep.points.len(), 4);
 //! assert!(sweep.incremental_hits() + sweep.full_resims() == 4);
-//! assert!(sweep.plan.is_some(), "the compiled plan rides on the report");
+//! assert_eq!(sweep.plan.fifo_count(), 1, "the compiled plan rides on the report");
 //! ```
 
 use crate::bytecode::CompiledPlan;
 use crate::plan::SweepPlan;
 use crate::pool;
-use omnisim::{IncrementalOutcome, OmniError, OmniReport, OmniSimulator, SimConfig};
+use omnisim::{CompiledOmni, IncrementalOutcome, OmniError, OmniReport, SimConfig};
 use omnisim_ir::design::OutputMap;
 use omnisim_ir::Design;
-
-/// Result of one full re-simulation: end-to-end cycles plus the functional
-/// outputs (behaviour may differ from the baseline when constraints flip).
-type ResimOutcome = Result<(u64, OutputMap), OmniError>;
 
 /// How one sweep point was answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepMethod {
-    /// Answered from the baseline run's recorded constraints — through the
-    /// compiled plan or the uncompiled incremental path — without
-    /// re-simulating (microseconds).
+    /// Answered on the bytecode VM from the baseline run's recorded
+    /// constraints, without re-simulating (microseconds).
     Incremental,
-    /// A recorded constraint was violated under the new depths, so the
-    /// resized design was fully re-simulated.
+    /// The VM could not certify the new depths (a recorded constraint was
+    /// violated, or the depths are infeasible or cyclic for the frozen
+    /// graph), so the resized design was fully re-simulated.
     FullResim,
 }
 
@@ -98,15 +94,12 @@ pub struct SweepReport {
     /// One answer per requested point, in request order.
     pub points: Vec<SweepPoint>,
     /// The compiled plan the points were answered from, reusable for
-    /// follow-up queries ([`SweepPlan::min_depths`]). `None`
-    /// only when plan compilation failed and the sweep fell back to the
-    /// uncompiled incremental path throughout.
-    pub plan: Option<SweepPlan>,
+    /// follow-up queries ([`SweepPlan::min_depths`]).
+    pub plan: SweepPlan,
     /// The plan lowered to register-allocated bytecode — the program the
     /// points were actually executed through. Reusable for follow-up
-    /// batches and persistable via [`CompiledPlan::encode`]; present
-    /// exactly when [`SweepReport::plan`] is.
-    pub bytecode: Option<CompiledPlan>,
+    /// batches and persistable via [`CompiledPlan::encode`].
+    pub bytecode: CompiledPlan,
 }
 
 impl SweepReport {
@@ -161,12 +154,6 @@ impl<'d> Sweep<'d> {
         self
     }
 
-    /// Runs plan evaluation and full re-simulations one at a time instead
-    /// of on scoped worker threads. Equivalent to [`Sweep::workers`]`(1)`.
-    pub fn sequential(self) -> Self {
-        self.workers(1)
-    }
-
     /// Adds one candidate depth vector (one entry per FIFO of the design).
     pub fn point(mut self, depths: impl Into<Vec<usize>>) -> Self {
         self.points.push(depths.into());
@@ -214,17 +201,18 @@ impl<'d> Sweep<'d> {
     }
 
     /// Runs the baseline simulation and answers every requested point:
-    /// through the compiled [`SweepPlan`] where possible, through the
-    /// uncompiled incremental path for depth-0 points (or if plan
-    /// compilation fails), and through parallel full re-simulation wherever
-    /// a recorded constraint is violated.
+    /// one VM batch over the compiled [`SweepPlan`], then parallel
+    /// [`CompiledOmni::resimulate`] runs for the points whose recorded
+    /// constraints do not hold.
     ///
     /// # Errors
     ///
     /// Returns [`OmniError::EmptyGridAxis`] if a [`Sweep::grid`] axis was
-    /// empty, [`OmniError::DepthMismatch`] if a point's depth vector has
-    /// the wrong length, the baseline run's error if it fails, and any full
-    /// re-simulation's error otherwise.
+    /// empty, the baseline run's error if it fails, [`OmniError::Graph`]
+    /// if the baseline graph admits no topological order (an engine bug),
+    /// [`OmniError::DepthMismatch`] if a point's depth vector has the wrong
+    /// length, [`OmniError::ZeroDepth`] if it contains a zero depth, and
+    /// any full re-simulation's error otherwise.
     pub fn run(self) -> Result<SweepReport, OmniError> {
         let Sweep {
             design,
@@ -236,120 +224,54 @@ impl<'d> Sweep<'d> {
         if let Some(error) = grid_error {
             return Err(error);
         }
-        let resim_workers = pool::resolve_workers(workers);
-        let fifo_count = design.fifos.len();
-        for point in &points {
-            if point.len() != fifo_count {
-                return Err(OmniError::DepthMismatch {
-                    expected: fifo_count,
-                    got: point.len(),
-                });
-            }
-        }
+        let session = CompiledOmni::compile(design, config)?;
+        let plan = SweepPlan::compile(session.state())?;
+        let bytecode = plan.compile_bytecode();
+        // A pinned worker count is honored unconditionally; otherwise the
+        // VM's estimated-work cutoff decides whether the batch is worth
+        // parallelizing at all.
+        let outcomes = match workers {
+            Some(count) => bytecode.evaluate_batch_workers(&points, count),
+            None => bytecode.evaluate_batch(&points, true),
+        }?;
 
-        // The compile phase of the session lifecycle, without the
-        // `CompiledOmni` wrapper: a sweep borrows its design and supplies
-        // its own typed-error fallback re-simulations below, so wrapping
-        // would only add the artifact's design clone — which matters when
-        // fuzz loops sweep thousands of generated designs.
-        let baseline_report = OmniSimulator::with_config(design, config).run()?;
-        let baseline = &baseline_report.incremental;
-        // Plan compilation fails only when no depth-independent topological
-        // order exists; the uncompiled path still answers every point.
-        let plan = SweepPlan::compile(baseline).ok();
-        // Lower the plan into bytecode once; the VM answers the batch.
-        let bytecode = plan.as_ref().map(SweepPlan::compile_bytecode);
-
-        let mut answers: Vec<Option<SweepPoint>> = (0..points.len()).map(|_| None).collect();
-        let mut fallback: Vec<(usize, Vec<usize>)> = Vec::new();
-        let mut compiled: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (index, depths) in points.into_iter().enumerate() {
-            if plan.is_some() && depths.iter().all(|&d| d >= 1) {
-                compiled.push((index, depths));
-            } else {
-                match baseline.try_with_depths(&depths)? {
-                    IncrementalOutcome::Valid { total_cycles } => {
-                        answers[index] = Some(SweepPoint {
-                            depths,
-                            total_cycles,
-                            method: SweepMethod::Incremental,
-                            outputs: None,
-                        });
-                    }
-                    IncrementalOutcome::ConstraintViolated { .. }
-                    | IncrementalOutcome::DepthInfeasible { .. }
-                    | IncrementalOutcome::DepthCyclic => {
-                        // An uncertifiable zero-depth point is not a design
-                        // point at all — the resized design would not even
-                        // validate — so it stays an error rather than a
-                        // resim candidate (which would assert on the zero
-                        // depth).
-                        if depths.contains(&0) {
-                            return Err(OmniError::Graph(omnisim_graph::CycleError));
-                        }
-                        fallback.push((index, depths));
-                    }
+        let uncertified: Vec<usize> = (0..points.len())
+            .filter(|&index| !outcomes[index].is_valid())
+            .collect();
+        let mut resims =
+            pool::parallel_map(&uncertified, pool::resolve_workers(workers), |&index| {
+                session.resimulate(&points[index], None)
+            })
+            .into_iter();
+        let points = points
+            .into_iter()
+            .zip(outcomes)
+            .map(|(depths, outcome)| match outcome {
+                IncrementalOutcome::Valid { total_cycles } => Ok(SweepPoint {
+                    depths,
+                    total_cycles,
+                    method: SweepMethod::Incremental,
+                    outputs: None,
+                }),
+                IncrementalOutcome::ConstraintViolated { .. }
+                | IncrementalOutcome::DepthInfeasible { .. }
+                | IncrementalOutcome::DepthCyclic => {
+                    let report = resims
+                        .next()
+                        .expect("one re-simulation per uncertified point")?;
+                    Ok(SweepPoint {
+                        depths,
+                        total_cycles: report.total_cycles,
+                        method: SweepMethod::FullResim,
+                        outputs: Some(report.outputs),
+                    })
                 }
-            }
-        }
-
-        if let Some(program) = &bytecode {
-            let batch: Vec<&[usize]> = compiled
-                .iter()
-                .map(|(_, depths)| depths.as_slice())
-                .collect();
-            // A pinned worker count is honored unconditionally; otherwise
-            // the VM's estimated-work cutoff decides whether the batch is
-            // worth parallelizing at all.
-            let outcomes = match workers {
-                Some(count) => program.evaluate_batch_workers(&batch, count),
-                None => program.evaluate_batch(&batch, true),
-            }
-            .map_err(OmniError::from)?;
-            for ((index, depths), outcome) in compiled.into_iter().zip(outcomes) {
-                match outcome {
-                    IncrementalOutcome::Valid { total_cycles } => {
-                        answers[index] = Some(SweepPoint {
-                            depths,
-                            total_cycles,
-                            method: SweepMethod::Incremental,
-                            outputs: None,
-                        });
-                    }
-                    IncrementalOutcome::ConstraintViolated { .. }
-                    | IncrementalOutcome::DepthInfeasible { .. }
-                    | IncrementalOutcome::DepthCyclic => {
-                        fallback.push((index, depths));
-                    }
-                }
-            }
-        }
-
-        let resimulate = |depths: &[usize]| -> ResimOutcome {
-            let resized = design.with_fifo_depths(depths);
-            let report = OmniSimulator::with_config(&resized, config).run()?;
-            Ok((report.total_cycles, report.outputs))
-        };
-
-        let outcomes: Vec<ResimOutcome> =
-            pool::parallel_map(&fallback, resim_workers, |(_, depths)| resimulate(depths));
-
-        for ((index, depths), outcome) in fallback.into_iter().zip(outcomes) {
-            let (total_cycles, outputs) = outcome?;
-            answers[index] = Some(SweepPoint {
-                depths,
-                total_cycles,
-                method: SweepMethod::FullResim,
-                outputs: Some(outputs),
-            });
-        }
+            })
+            .collect::<Result<Vec<_>, OmniError>>()?;
 
         Ok(SweepReport {
-            baseline: baseline_report,
-            points: answers
-                .into_iter()
-                .map(|point| point.expect("every sweep point answered"))
-                .collect(),
+            baseline: session.into_baseline(),
+            points,
             plan,
             bytecode,
         })
@@ -359,7 +281,10 @@ impl<'d> Sweep<'d> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omnisim::test_fixtures::{nb_drop_counter, producer_consumer};
+    use omnisim::test_fixtures::{
+        nb_drop_counter, producer_consumer, producer_consumer_with_idle_fifo,
+    };
+    use omnisim::OmniSimulator;
 
     #[test]
     fn all_incremental_sweep_matches_manual_analysis() {
@@ -410,7 +335,7 @@ mod tests {
         let design = nb_drop_counter(40, 1, 4);
         let grid: &[&[usize]] = &[&[1, 8, 32, 64, 128]];
         let parallel = Sweep::new(&design).grid(grid).run().unwrap();
-        let sequential = Sweep::new(&design).grid(grid).sequential().run().unwrap();
+        let sequential = Sweep::new(&design).grid(grid).workers(1).run().unwrap();
         assert_eq!(parallel.points.len(), sequential.points.len());
         for (p, s) in parallel.points.iter().zip(&sequential.points) {
             assert_eq!(p.depths, s.depths);
@@ -496,14 +421,14 @@ mod tests {
 
     #[test]
     fn depth_zero_points_take_the_uncompiled_path() {
-        // Depth 0 is outside the plan's cached topological order, so such
-        // points are routed through try_with_depths exactly as before the
-        // plan existed. For a blocking design, depth 0 makes the combined
-        // constraint set cyclic (the w-th write must follow the w-th read
-        // which must follow the w-th write), and that error surfaces.
+        // A depth-0 FIFO is not a design point, so the VM rejects it up
+        // front and the sweep reports ZeroDepth — whatever the uncompiled
+        // path would have said. For a blocking design it would have called
+        // depth 0 cyclic (the w-th write must follow the w-th read which
+        // must follow the w-th write).
         let design = producer_consumer(12, 2, 1);
         let err = Sweep::new(&design).point([0usize]).run().unwrap_err();
-        assert!(matches!(err, OmniError::Graph(_)), "got {err:?}");
+        assert_eq!(err, OmniError::ZeroDepth { fifo: 0 });
         let manual = design;
         let baseline = OmniSimulator::new(&manual).run().unwrap();
         assert_eq!(
@@ -511,14 +436,26 @@ mod tests {
             IncrementalOutcome::DepthCyclic,
             "the uncompiled path agrees that depth 0 is cyclic here"
         );
+
+        // On a FIFO with no recorded traffic the uncompiled path would
+        // certify depth 0; the sweep still rejects it.
+        let idle = producer_consumer_with_idle_fifo(12, 2, 1);
+        let baseline = OmniSimulator::new(&idle).run().unwrap();
+        assert!(baseline
+            .incremental
+            .try_with_depths(&[2, 0])
+            .unwrap()
+            .is_valid());
+        let err = Sweep::new(&idle).point([2usize, 0]).run().unwrap_err();
+        assert_eq!(err, OmniError::ZeroDepth { fifo: 1 });
     }
 
     #[test]
     fn depth_zero_on_an_infeasible_fifo_errors_instead_of_resimulating() {
         // A producer that leaves surplus data in the FIFO: depth 0 is
-        // DepthInfeasible (not DepthCyclic), and must still surface as an
-        // error — routing it to the resim fallback would panic on
-        // `with_fifo_depths`'s zero-depth assertion.
+        // DepthInfeasible (not DepthCyclic) for the uncompiled path, and
+        // must still surface as ZeroDepth — routing it to the resim
+        // fallback would panic on `with_fifo_depths`'s zero-depth assertion.
         let mut d = omnisim_ir::DesignBuilder::new("surplus");
         let q = d.fifo("q", 2);
         let out = d.output("sum");
@@ -555,18 +492,18 @@ mod tests {
             IncrementalOutcome::DepthInfeasible { fifo: 0 }
         );
         let err = Sweep::new(&design).point([0usize]).run().unwrap_err();
-        assert!(matches!(err, OmniError::Graph(_)), "got {err:?}");
+        assert_eq!(err, OmniError::ZeroDepth { fifo: 0 });
     }
 
     #[test]
     fn report_retains_the_compiled_plan_for_follow_up_queries() {
         let design = producer_consumer(32, 2, 2);
         let sweep = Sweep::new(&design).grid(&[&[1, 2, 8]]).run().unwrap();
-        let plan = sweep.plan.as_ref().expect("plan compiles for this design");
+        let plan = &sweep.plan;
         assert_eq!(plan.fifo_count(), 1);
         // The lowered program rides on the report too, identical to a
         // fresh lowering of the retained plan.
-        let program = sweep.bytecode.as_ref().expect("bytecode rides on plan");
+        let program = &sweep.bytecode;
         assert_eq!(*program, plan.compile_bytecode());
         let outcome = program.vm().evaluate(&[8]).unwrap();
         let expected = sweep

@@ -137,6 +137,14 @@ impl CompiledSim for CompiledLightning {
             .fifo_depths
             .as_deref()
             .unwrap_or(&self.declared_depths);
+        // A depth-0 FIFO is not a design point; the graph analysis would
+        // certify it (no traffic on that FIFO) or report a cycle.
+        if depths.contains(&0) {
+            return Err(SimFailure::execution(
+                "lightning",
+                "FIFO depths must be at least one",
+            ));
+        }
         let (total_cycles, path) = match self.baseline_cycles {
             // The compiled depths replay the cached baseline analysis.
             Some(cached) if depths == self.declared_depths => {

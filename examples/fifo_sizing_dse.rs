@@ -1,12 +1,12 @@
 //! FIFO-sizing design-space exploration on the congestion-aware dispatcher
 //! of Fig. 4 Ex. 5 — the workflow behind Table 6 of the paper.
 //!
-//! The batch [`Sweep`] API runs the baseline once, compiles it into a
-//! frozen [`SweepPlan`] (CSR graph + cached topological order + reusable
-//! time buffers), and answers every candidate (depth1, depth2) pair from
-//! the plan with delta evaluation — falling back to a parallel full
-//! re-simulation only where the recorded constraints are violated. The
-//! compiled plan rides on the report, so follow-up queries (here: a
+//! The batch [`Sweep`] API runs the baseline once as a `CompiledOmni`
+//! session, lowers it into a [`SweepPlan`] and bytecode, and answers every
+//! candidate (depth1, depth2) pair in one VM batch — falling back to the
+//! session's parallel full re-simulation only where the recorded
+//! constraints are violated (asserted to happen at least once each way).
+//! The compiled plan rides on the report, so follow-up queries (here: a
 //! min-depth search) reuse the same baseline for free.
 //!
 //! Run with: `cargo run --release --example fifo_sizing_dse`
@@ -28,11 +28,15 @@ fn main() {
     }
     let (hits, full) = (sweep.incremental_hits(), sweep.full_resims());
     println!("\n{hits} configurations answered from the compiled plan, {full} full re-simulations");
+    assert!(
+        hits > 0 && full > 0,
+        "the grid must exercise both the VM and the re-simulation fallback"
+    );
 
     // The compiled plan is retained on the report: ask the inverse question
     // ("smallest depths within 1% of the baseline latency") without
     // re-simulating anything.
-    let plan = sweep.plan.as_ref().expect("plan compiled");
+    let plan = &sweep.plan;
     println!(
         "\ncompiled plan: {} nodes, {} edges, {} constraints",
         plan.node_count(),

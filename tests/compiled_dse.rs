@@ -188,7 +188,11 @@ fn sweep_answers_equal_full_resimulation_on_every_fixture() {
             .points(points)
             .run()
             .unwrap_or_else(|e| panic!("{name}: sweep failed: {e}"));
-        assert!(sweep.plan.is_some(), "{name}: plan must compile");
+        assert_eq!(
+            sweep.plan.fifo_count(),
+            design.fifos.len(),
+            "{name}: the compiled plan rides on the report"
+        );
         if !sweep.baseline.outcome.is_completed() {
             // See the note in the random-grid test: a deadlocked baseline's
             // incremental answers are stall horizons, not re-simulation

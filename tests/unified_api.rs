@@ -436,3 +436,33 @@ fn deadlocks_surface_uniformly_across_cycle_accurate_backends() {
         }
     }
 }
+
+/// A depth-0 FIFO is not a design point, so every cycle-accurate compiled
+/// run rejects it as a caller error — also on a FIFO with no recorded
+/// traffic, where the recorded constraints alone would certify it — and
+/// the serving tier's DSE batch agrees.
+#[test]
+fn zero_depth_overrides_are_execution_failures_on_every_cycle_accurate_backend() {
+    let design = omnisim_suite::omnisim::test_fixtures::producer_consumer_with_idle_fifo(8, 2, 1);
+    for name in ["omnisim", "rtl", "lightning"] {
+        let compiled = backend(name).unwrap().compile(&design).unwrap();
+        for depths in [[2usize, 0], [0, 2]] {
+            let failure = compiled
+                .run(&RunConfig::new().with_fifo_depths(depths))
+                .unwrap_err();
+            assert!(
+                matches!(failure, omnisim_suite::SimFailure::Execution { .. }),
+                "{name} at {depths:?}: got {failure:?}"
+            );
+        }
+    }
+    let service = SimService::new(backend("omnisim").unwrap());
+    let key = service.register(&design).unwrap();
+    for depths in [[2usize, 0], [0, 2]] {
+        let failure = service.dse_batch(key, &[depths]).unwrap_err();
+        assert!(
+            matches!(failure, omnisim_suite::SimFailure::Execution { .. }),
+            "dse_batch at {depths:?}: got {failure:?}"
+        );
+    }
+}
